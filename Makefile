@@ -24,10 +24,11 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
-# One iteration of the kernel hot-path benchmarks: proves they compile and
-# run without paying for stable numbers. CI runs this.
+# One iteration of the cheapest figure, the parallel sweep and the kernel
+# hot-path benchmarks: proves they compile and run without paying for
+# stable numbers. CI runs this.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkKernel|BenchmarkNetworkAllToAll' -benchmem -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkFigure3|BenchmarkSweepParallel|BenchmarkKernel|BenchmarkNetworkAllToAll' -benchmem -benchtime 1x .
 
 # Every perfgate case (all groups), appended as dated BENCH_*.json entries.
 bench-ledger:
@@ -72,7 +73,9 @@ cluster-gate:
 # Process-level crash safety under the race detector: real schedd
 # processes get SIGKILLed mid-sweep (workers and the coordinator), the
 # network path gets resets and latency, and the sweep must still finish
-# byte-identical with the journal accounting every point exactly once.
+# byte-identical with the journal (a result store, internal/store)
+# accounting every point exactly once, and a worker restarted over its
+# store must answer a repeat sweep >= 0.9 from warm cache.
 # Wall clock is bounded by the -timeout; the failure seed is logged for
 # replay with CHAOS_SEED. CI runs this.
 chaos-gate:

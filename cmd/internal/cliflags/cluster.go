@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
+	"repro/internal/store"
 )
 
 // Cluster holds the flags that point a tool at the distributed sweep
@@ -25,15 +26,14 @@ type Cluster struct {
 	NoHedge *bool
 	// Report prints the routing summary to stderr after the run.
 	Report *bool
-	// Journal is the durable sweep journal directory: completed points are
-	// fsync'd there and replayed on rerun, so an interrupted sweep resumes
-	// instead of restarting (empty = not resumable).
+	// Journal is the durable sweep journal directory, a result store
+	// (internal/store): completed points are fsync'd there and replayed on
+	// rerun, so an interrupted sweep resumes instead of restarting (empty =
+	// not resumable).
 	Journal *string
 	// RetryBudget bounds total extra attempts per sweep (0 = default 1024,
 	// negative = unlimited).
 	RetryBudget *int
-
-	journal *cluster.Journal // opened by Coordinator when -cluster-journal given
 }
 
 // RegisterCluster installs the -cluster flag family on the default flag
@@ -56,9 +56,8 @@ func (c Cluster) Enabled() bool { return strings.TrimSpace(*c.Targets) != "" }
 // Coordinator builds the routing client over the flagged fleet. Bare
 // host:port targets get the http:// scheme; trailing slashes are trimmed
 // so URL concatenation stays clean. With -cluster-journal the coordinator
-// journals completed points and replays them on rerun; FinishReport closes
-// the journal.
-func (c *Cluster) Coordinator() (*cluster.Coordinator, error) {
+// journals completed points and replays them on rerun.
+func (c Cluster) Coordinator() (*cluster.Coordinator, error) {
 	targets := Split(*c.Targets)
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("-cluster given but no targets parsed from %q", *c.Targets)
@@ -77,12 +76,11 @@ func (c *Cluster) Coordinator() (*cluster.Coordinator, error) {
 		SweepRetryBudget:  *c.RetryBudget,
 	}
 	if dir := strings.TrimSpace(*c.Journal); dir != "" {
-		j, err := cluster.OpenJournal(dir)
+		journal, err := store.Open(dir, 0)
 		if err != nil {
 			return nil, err
 		}
-		c.journal = j
-		opts.Memo = j
+		opts.Memo = journal
 	}
 	return cluster.New(opts), nil
 }
@@ -99,14 +97,9 @@ func (c Cluster) RemoteOptions(common Common, coord *cluster.Coordinator) engine
 }
 
 // FinishReport prints the routing summary to stderr when -cluster-report
-// was given, and closes the sweep journal if one was opened. Call it after
-// the remote plan completes.
-func (c *Cluster) FinishReport(coord *cluster.Coordinator) {
+// was given. Call it after the remote plan completes.
+func (c Cluster) FinishReport(coord *cluster.Coordinator) {
 	if *c.Report {
 		fmt.Fprintln(os.Stderr, coord.Snapshot().Report())
-	}
-	if c.journal != nil {
-		c.journal.Close()
-		c.journal = nil
 	}
 }

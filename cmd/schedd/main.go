@@ -52,6 +52,7 @@ import (
 	"repro/cmd/internal/cliflags"
 	"repro/internal/cluster"
 	"repro/internal/serve"
+	"repro/internal/store"
 )
 
 func main() {
@@ -72,7 +73,7 @@ func main() {
 		coordinator = flag.String("coordinator", "", "coordinator base URL for -worker registration")
 		advertise   = flag.String("advertise", "", "base URL to advertise to the coordinator (default: derived from the bound listen address)")
 		leaseTTL    = flag.Duration("lease-ttl", 10*time.Second, "worker lease TTL granted by -coordinate")
-		journalDir  = flag.String("journal", "", "durable sweep journal directory for -coordinate (replay completed points on restart)")
+		journalDir  = flag.String("journal", "", "durable sweep journal directory for -coordinate, in the -store format (replay completed points on restart)")
 	)
 	cf := cliflags.Register() // -j (engine workers per request) + profiling
 	flag.Parse()
@@ -226,13 +227,13 @@ func run(addr string, opts serve.Options, drain time.Duration, logger *slog.Logg
 func runCoordinator(addr, journalDir string, leaseTTL, drain time.Duration, logger *slog.Logger, ready chan<- string) error {
 	copts := cluster.Options{}
 	if journalDir != "" {
-		journal, err := cluster.OpenJournal(journalDir)
+		journal, err := store.Open(journalDir, 0)
 		if err != nil {
 			return err
 		}
-		defer journal.Close()
+		entries, _ := journal.Stats()
 		logger.Info("schedd journal open", slog.String("dir", journalDir),
-			slog.Int("replayed", journal.Len()))
+			slog.Int("replayed", entries))
 		copts.Memo = journal
 	}
 	coord := cluster.New(copts)

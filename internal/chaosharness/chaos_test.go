@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
+	"repro/internal/store"
 )
 
 // TestChaosCoordinatorCrashResume is the headline: a sweep survives a
@@ -87,22 +87,26 @@ func TestChaosCoordinatorCrashResume(t *testing.T) {
 	}
 
 	// Exactly-once journal audit: every point durably recorded once, no
-	// stragglers, no duplicates — the coordinator crash included.
-	entries, err := cluster.ScanJournal(journalDir)
+	// stragglers, no duplicates, every record verifying and byte-identical
+	// to the clean run — the coordinator crash included.
+	records, err := store.Scan(journalDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := make(map[string]int, len(entries))
-	for _, e := range entries {
-		seen[e.Key]++
+	seen := make(map[string]int, len(records))
+	for _, r := range records {
+		seen[r.Key]++
+		if !bytes.Equal(r.Body, want[r.Key]) {
+			t.Errorf("journal record %.12s differs from the clean run", r.Key)
+		}
 	}
 	for _, pt := range pts {
 		if seen[pt.key] != 1 {
 			t.Errorf("journal records point %.12s %d times, want exactly 1", pt.key, seen[pt.key])
 		}
 	}
-	if len(entries) != len(pts) {
-		t.Errorf("journal has %d records, want %d", len(entries), len(pts))
+	if len(records) != len(pts) {
+		t.Errorf("journal has %d records, want %d", len(records), len(pts))
 	}
 
 	// The restarted coordinator's metrics must account for the full sweep.

@@ -80,8 +80,8 @@ type Options struct {
 	SweepRetryBudget int
 	// Memo, when set, makes execution resumable: Do answers journaled
 	// points without touching a worker and durably records each newly
-	// completed point before reporting success. The production Memo is
-	// *Journal (schedd -coordinate -journal <dir>).
+	// completed point before reporting success. The production Memo is a
+	// *store.Store (schedd -coordinate -journal <dir>).
 	Memo engine.Memo
 	// Client is the HTTP client (default: dedicated client, no global
 	// timeout — deadlines come from request contexts).

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strings"
 	"sync/atomic"
+
+	"repro/internal/promtext"
 )
 
 // coordinatorMetrics counts the routing machinery: how many points moved,
@@ -84,8 +86,9 @@ func (c *Coordinator) Snapshot() Snapshot {
 		RetrySpent:     c.m.retrySpent.Load(),
 		RetryLeft:      c.retryBudgetLeft(),
 	}
-	if sized, ok := c.opts.Memo.(interface{ Len() int }); ok {
-		s.JournalEntries = int64(sized.Len())
+	if sized, ok := c.opts.Memo.(interface{ Stats() (int, int64) }); ok {
+		entries, _ := sized.Stats()
+		s.JournalEntries = int64(entries)
 	}
 	now := c.now()
 	c.mu.RLock()
@@ -109,28 +112,26 @@ func (c *Coordinator) Snapshot() Snapshot {
 // exposition format (the coordinator server mounts this on /metrics).
 func (c *Coordinator) WriteMetrics(b *strings.Builder) {
 	s := c.Snapshot()
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("cluster_points_total", "Points routed to completion.", s.Points)
-	counter("cluster_remote_hits_total", "Points answered from a worker's result cache.", s.RemoteHits)
-	counter("cluster_remote_misses_total", "Points a worker had to simulate.", s.RemoteMisses)
-	counter("cluster_hedges_total", "Hedge requests fired against straggling points.", s.Hedges)
-	counter("cluster_hedge_wins_total", "Hedges that finished before the primary.", s.HedgeWins)
-	counter("cluster_rebalances_total", "Points served by a worker other than their rendezvous home.", s.Rebalances)
-	counter("cluster_backpressure_waits_total", "429 responses absorbed by waiting out the worker's Retry-After.", s.Backpressure)
-	counter("cluster_worker_failures_total", "Transport errors and 5xx responses from workers.", s.Failures)
-	counter("cluster_worker_cooldowns_total", "Times a worker's circuit breaker opened.", s.Cooldowns)
-	counter("cluster_journal_hits_total", "Points answered from the durable sweep journal.", s.JournalHits)
-	counter("cluster_journal_appends_total", "Points durably appended to the sweep journal.", s.JournalAppends)
-	counter("cluster_retry_spent_total", "Per-sweep retry budget units consumed (failovers, backpressure waits, hedges).", s.RetrySpent)
-	fmt.Fprintf(b, "# HELP cluster_journal_entries Distinct points in the sweep journal.\n# TYPE cluster_journal_entries gauge\ncluster_journal_entries %d\n", s.JournalEntries)
-	fmt.Fprintf(b, "# HELP cluster_retry_budget_remaining Remaining per-sweep retry budget (-1 = unlimited).\n# TYPE cluster_retry_budget_remaining gauge\ncluster_retry_budget_remaining %d\n", s.RetryLeft)
+	p := promtext.Writer{B: b}
+	p.Counter("cluster_points_total", "Points routed to completion.", s.Points)
+	p.Counter("cluster_remote_hits_total", "Points answered from a worker's result cache.", s.RemoteHits)
+	p.Counter("cluster_remote_misses_total", "Points a worker had to simulate.", s.RemoteMisses)
+	p.Counter("cluster_hedges_total", "Hedge requests fired against straggling points.", s.Hedges)
+	p.Counter("cluster_hedge_wins_total", "Hedges that finished before the primary.", s.HedgeWins)
+	p.Counter("cluster_rebalances_total", "Points served by a worker other than their rendezvous home.", s.Rebalances)
+	p.Counter("cluster_backpressure_waits_total", "429 responses absorbed by waiting out the worker's Retry-After.", s.Backpressure)
+	p.Counter("cluster_worker_failures_total", "Transport errors and 5xx responses from workers.", s.Failures)
+	p.Counter("cluster_worker_cooldowns_total", "Times a worker's circuit breaker opened.", s.Cooldowns)
+	p.Counter("cluster_journal_hits_total", "Points answered from the durable sweep journal.", s.JournalHits)
+	p.Counter("cluster_journal_appends_total", "Points durably appended to the sweep journal.", s.JournalAppends)
+	p.Counter("cluster_retry_spent_total", "Per-sweep retry budget units consumed (failovers, backpressure waits, hedges).", s.RetrySpent)
+	p.Gauge("cluster_journal_entries", "Distinct points in the sweep journal.", s.JournalEntries)
+	p.Gauge("cluster_retry_budget_remaining", "Remaining per-sweep retry budget (-1 = unlimited).", s.RetryLeft)
 
 	perWorker := func(name, help string, pick func(WorkerSnapshot) int64, typ string) {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+		p.Header(name, help, typ)
 		for _, w := range s.Workers {
-			fmt.Fprintf(b, "%s{worker=%q} %d\n", name, w.URL, pick(w))
+			p.Sample(name, promtext.Label("worker", w.URL), pick(w))
 		}
 	}
 	perWorker("cluster_worker_inflight", "Requests currently in flight to the worker.",

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/store"
 )
 
 // Robustness tests for the crash-safe fabric: per-sweep retry budgets,
@@ -166,25 +167,15 @@ func TestClusterJournalResume(t *testing.T) {
 	cfgs := grid(t)
 	dir := t.TempDir()
 
-	j, err := OpenJournal(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := New(Options{Workers: []string{w.URL}, DisableHedging: true, Memo: j})
+	first := New(Options{Workers: []string{w.URL}, DisableHedging: true, Memo: openJournal(t, dir)})
 	want := sweepBodies(t, first, cfgs, 4)
 	snap := first.Snapshot()
 	if snap.JournalAppends != int64(len(cfgs)) || snap.JournalHits != 0 {
 		t.Errorf("first sweep journal: appends=%d hits=%d, want %d/0",
 			snap.JournalAppends, snap.JournalHits, len(cfgs))
 	}
-	j.Close()
 
-	j2, err := OpenJournal(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	second := New(Options{Memo: j2, DisableHedging: true}) // no workers at all
+	second := New(Options{Memo: openJournal(t, dir), DisableHedging: true}) // no workers at all
 	got := sweepBodies(t, second, cfgs, 4)
 	for i := range got {
 		if !bytes.Equal(got[i], want[i]) {
@@ -212,20 +203,10 @@ func TestClusterJournalPartialResume(t *testing.T) {
 	cfgs := grid(t)
 	dir := t.TempDir()
 
-	j, err := OpenJournal(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	half := New(Options{Workers: []string{w.URL}, DisableHedging: true, Memo: j})
+	half := New(Options{Workers: []string{w.URL}, DisableHedging: true, Memo: openJournal(t, dir)})
 	want := sweepBodies(t, half, cfgs[:3], 1)
-	j.Close()
 
-	j2, err := OpenJournal(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	resumed := New(Options{Workers: []string{w.URL}, DisableHedging: true, Memo: j2})
+	resumed := New(Options{Workers: []string{w.URL}, DisableHedging: true, Memo: openJournal(t, dir)})
 	all := sweepBodies(t, resumed, cfgs, 1)
 	for i := range want {
 		if !bytes.Equal(all[i], want[i]) {
@@ -239,13 +220,13 @@ func TestClusterJournalPartialResume(t *testing.T) {
 	if snap.JournalAppends != int64(len(cfgs)-3) {
 		t.Errorf("JournalAppends = %d, want %d", snap.JournalAppends, len(cfgs)-3)
 	}
-	// The raw log must hold every point exactly once across both runs.
-	entries, err := ScanJournal(dir)
+	// The journal must hold every point exactly once across both runs.
+	records, err := store.Scan(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != len(cfgs) {
-		t.Errorf("raw journal has %d records, want %d", len(entries), len(cfgs))
+	if len(records) != len(cfgs) {
+		t.Errorf("journal has %d records, want %d", len(records), len(cfgs))
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/promtext"
 	"repro/internal/serve"
 )
 
@@ -262,8 +263,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var b strings.Builder
 	s.coord.WriteMetrics(&b)
-	fmt.Fprintf(&b, "# HELP cluster_workers Live worker leases.\n# TYPE cluster_workers gauge\ncluster_workers %d\n",
-		len(s.reg.workers()))
+	promtext.Writer{B: &b}.Gauge("cluster_workers", "Live worker leases.", int64(len(s.reg.workers())))
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	fmt.Fprint(w, b.String())
 }

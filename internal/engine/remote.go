@@ -65,8 +65,8 @@ func (p *RemotePlan) Len() int { return len(p.Points) }
 // content address to the response bytes once served for it. Because
 // remote points are content-addressed and workers are deterministic, a
 // memoized body is not a stale approximation — it is the byte-identical
-// answer, forever. The cluster journal (internal/cluster.Journal) is the
-// production Memo: an fsync'd append-only log that makes remote plans
+// answer, forever. The durable result store (internal/store) is the
+// production Memo: as the coordinator's sweep journal it makes remote plans
 // resumable across a client or coordinator crash.
 type Memo interface {
 	// Get returns the recorded body for a key.

@@ -50,6 +50,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/sched"
+	"repro/internal/store"
 )
 
 // Options tunes a Server. Zero values take the listed defaults.
@@ -72,7 +73,7 @@ type Options struct {
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
 	// StoreDir, when non-empty, enables the tier-2 disk-backed result
-	// store behind the in-memory cache (see store.go): results are
+	// store behind the in-memory cache (see internal/store): results are
 	// written behind the response path, the cache is warmed from the
 	// store at startup, and a restarted worker serves hits for everything
 	// it had computed before dying. StoreBytes bounds the resident store
@@ -117,7 +118,7 @@ func (o Options) withDefaults() Options {
 type Server struct {
 	opts     Options
 	cache    *resultCache
-	store    *diskStore // nil without Options.StoreDir
+	store    *store.Store // nil without Options.StoreDir
 	adm      *admission
 	metrics  serverMetrics
 	log      *slog.Logger
@@ -159,12 +160,18 @@ func Open(opts Options) (*Server, error) {
 	if s.opts.StoreDir == "" {
 		return s, nil
 	}
-	st, err := openDiskStore(s.opts.StoreDir, s.opts.StoreBytes)
+	st, err := store.Open(s.opts.StoreDir, s.opts.StoreBytes)
 	if err != nil {
 		return nil, err
 	}
 	s.store = st
-	warmed := st.warm(s.cache)
+	// Oldest first, so the newest results end up most-recently-used; the
+	// cache's own bounds decide how many stay resident.
+	warmed := 0
+	st.Each(func(r store.Record) {
+		s.cache.put(r.Key, r.Body, r.ContentType)
+		warmed++
+	})
 	s.metrics.storeWarmed.Store(int64(warmed))
 	if warmed > 0 {
 		s.log.Info("store", slog.String("dir", s.opts.StoreDir), slog.Int("warmed", warmed))
@@ -192,7 +199,7 @@ func (s *Server) flushLoop() {
 // logged, not propagated: tier-2 is an accelerator, and a worker that can
 // still simulate should keep serving even with a broken disk.
 func (s *Server) storeWrite(key string, body []byte, contentType string) {
-	if err := s.store.put(key, body, contentType); err != nil {
+	if err := s.store.Save(store.Record{Key: key, ContentType: contentType, Body: body}); err != nil {
 		s.log.Warn("store", slog.String("key", key[:16]), slog.String("err", err.Error()))
 		return
 	}
@@ -469,11 +476,11 @@ func (s *Server) serveKeyed(w http.ResponseWriter, r *http.Request, kr keyedRequ
 	// the memory cache but persisted on disk is still a hit — promote it
 	// back into the LRU and serve it without simulating.
 	if s.store != nil {
-		if body, contentType, ok := s.store.get(kr.key); ok {
+		if rec, ok := s.store.Load(kr.key); ok {
 			s.metrics.cacheHits.Add(1)
 			s.metrics.storeHits.Add(1)
-			s.cache.put(kr.key, body, contentType)
-			s.writeResult(w, kr.key, "hit", contentType, body)
+			s.cache.put(kr.key, rec.Body, rec.ContentType)
+			s.writeResult(w, kr.key, "hit", rec.ContentType, rec.Body)
 			s.log.Info("run", logAttrs(http.StatusOK, "hit")...)
 			return
 		}

@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/store"
 )
 
 func openTestServer(t *testing.T, opts Options) *Server {
@@ -45,7 +47,7 @@ func TestScheddStoreSurvivesRestart(t *testing.T) {
 	// The drain sequence the binary runs on SIGTERM: flush, then stop.
 	first.FlushStore()
 	first.Close()
-	if entries, _ := first.store.stats(); entries != 1 {
+	if entries, _ := first.store.Stats(); entries != 1 {
 		t.Fatalf("store entries after flush = %d, want 1", entries)
 	}
 
@@ -103,15 +105,15 @@ func TestScheddStoreReadThrough(t *testing.T) {
 // detected by the CRC, served as a miss, and the bad file deleted.
 func TestScheddStoreCorruptionQuarantined(t *testing.T) {
 	dir := t.TempDir()
-	st, err := openDiskStore(dir, 1<<20)
+	st, err := store.Open(dir, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	key := strings.Repeat("ab", 32)
-	if err := st.put(key, []byte("precious result bytes"), "application/json"); err != nil {
+	if err := st.Save(store.Record{Key: key, ContentType: "application/json", Body: []byte("precious result bytes")}); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, key+storeExt)
+	path := filepath.Join(dir, key+".res")
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -120,24 +122,24 @@ func TestScheddStoreCorruptionQuarantined(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := st.get(key); ok {
+	if _, ok := st.Load(key); ok {
 		t.Fatal("corrupt entry served")
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Error("corrupt file not deleted")
 	}
-	if entries, _ := st.stats(); entries != 0 {
+	if entries, _ := st.Stats(); entries != 0 {
 		t.Errorf("stats still count the corrupt entry: %d", entries)
 	}
 }
 
 // TestScheddStoreGCOldestFirst: past the byte bound the oldest entries go
-// first, newest survive, and accounting matches the directory.
+// first, newest survive, and accounting matches the directory — on put,
+// and on a restart with a smaller -store-mb.
 func TestScheddStoreGCOldestFirst(t *testing.T) {
 	dir := t.TempDir()
 	body := bytes.Repeat([]byte("x"), 100)
-	// Header ~90 bytes + 100 body; bound fits roughly 4 entries.
-	st, err := openDiskStore(dir, 800)
+	st, err := store.Open(dir, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,55 +147,74 @@ func TestScheddStoreGCOldestFirst(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		key := fmt.Sprintf("%064d", i)
 		keys = append(keys, key)
-		if err := st.put(key, body, "t"); err != nil {
+		if err := st.Save(store.Record{Key: key, ContentType: "t", Body: body}); err != nil {
 			t.Fatal(err)
 		}
 		// mtime granularity on some filesystems is coarse; force ordering.
 		past := time.Now().Add(time.Duration(i-10) * time.Second)
-		os.Chtimes(filepath.Join(dir, key+storeExt), past, past)
-		st.mu.Lock()
-		info := st.files[key+storeExt]
-		info.mtime = past
-		st.files[key+storeExt] = info
-		st.mu.Unlock()
+		os.Chtimes(filepath.Join(dir, key+".res"), past, past)
 	}
-	_, bytesResident := st.stats()
+	// Header ~90 bytes + 100 body; the bound fits roughly 4 entries.
+	st, err = store.Open(dir, 800)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, bytesResident := st.Stats()
 	if bytesResident > 800 {
 		t.Errorf("resident bytes %d exceed bound", bytesResident)
 	}
-	if _, _, ok := st.get(keys[0]); ok {
+	if files, _ := filepath.Glob(filepath.Join(dir, "*.res")); len(files) != entries {
+		t.Errorf("directory holds %d records, index %d", len(files), entries)
+	}
+	if _, ok := st.Load(keys[0]); ok {
 		t.Error("oldest entry survived GC")
 	}
-	if _, _, ok := st.get(keys[len(keys)-1]); !ok {
+	if _, ok := st.Load(keys[len(keys)-1]); !ok {
 		t.Error("newest entry evicted")
 	}
-	// An entry bigger than the whole store is served but never kept.
-	if err := st.put(strings.Repeat("cd", 32), bytes.Repeat([]byte("y"), 2000), "t"); err != nil {
+	// Puts past the bound evict too: a fresh put pushes out the oldest
+	// survivor.
+	oldestLeft := keys[len(keys)-entries]
+	if err := st.Save(store.Record{Key: strings.Repeat("ef", 32), ContentType: "t", Body: body}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := st.get(strings.Repeat("cd", 32)); ok {
+	if _, ok := st.Load(oldestLeft); ok {
+		t.Error("oldest survivor not evicted by a put past the bound")
+	}
+	// An entry bigger than the whole store is served but never kept.
+	if err := st.Save(store.Record{Key: strings.Repeat("cd", 32), ContentType: "t", Body: bytes.Repeat([]byte("y"), 2000)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := st.Load(strings.Repeat("cd", 32)); ok {
 		t.Error("oversized entry stored")
 	}
 }
 
 // TestScheddStoreCrashLeftovers: temp files from a crash mid-put are swept
-// on open and never surface as results; unsafe keys are refused.
+// on open and never surface as results; files the store does not own are
+// left alone; unsafe keys are refused.
 func TestScheddStoreCrashLeftovers(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "put-12345"), []byte("torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, err := openDiskStore(dir, 1<<20)
+	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("mine"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(dir, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if entries, b := st.stats(); entries != 0 || b != 0 {
+	if entries, b := st.Stats(); entries != 0 || b != 0 {
 		t.Errorf("leftover temp counted: %d entries %d bytes", entries, b)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "put-12345")); !os.IsNotExist(err) {
 		t.Error("leftover temp file not swept")
 	}
-	if err := st.put("../escape", []byte("x"), "t"); err == nil {
+	if _, err := os.Stat(filepath.Join(dir, "notes.txt")); err != nil {
+		t.Errorf("foreign file removed: %v", err)
+	}
+	if err := st.Save(store.Record{Key: "../escape", Body: []byte("x")}); err == nil {
 		t.Error("non-hash key accepted")
 	}
 }
