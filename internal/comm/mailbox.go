@@ -1,10 +1,6 @@
 package comm
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // Mailbox is a FIFO message queue owned by one simulated process. Any number
 // of senders may target it; receives are in delivery order.
@@ -41,7 +37,7 @@ func (b *Mailbox) take(p *sim.Proc) *Message {
 	defer b.removeWaiter(p)
 	for len(b.queue) == 0 {
 		b.waiters = append(b.waiters, p)
-		p.Park(fmt.Sprintf("recv on %v", b.addr))
+		p.Park("recv")
 		// A spurious wake leaves us queued as a waiter twice; scrub.
 		b.removeWaiter(p)
 	}

@@ -20,6 +20,7 @@ package comm
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/sim"
 )
@@ -59,7 +60,7 @@ type Addr struct {
 	Box  int
 }
 
-func (a Addr) String() string { return fmt.Sprintf("n%d.b%d", a.Node, a.Box) }
+func (a Addr) String() string { return "n" + strconv.Itoa(a.Node) + ".b" + strconv.Itoa(a.Box) }
 
 // Message is one mailbox message in flight or delivered.
 type Message struct {

@@ -2,6 +2,7 @@ package comm
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/machine"
 	"repro/internal/mem"
@@ -238,8 +239,8 @@ func (n *Network) retransmit(orig *Message) {
 		uid:     orig.uid,
 	}
 	src := clone.Src.Node
-	n.k.Spawn(fmt.Sprintf("retx u%d", clone.uid), func(p *sim.Proc) {
-		task := n.NodeOf(src).CPU.NewTask(fmt.Sprintf("retx n%d", src), machine.PriHigh)
+	n.k.Spawn("retx u"+strconv.FormatInt(clone.uid, 10), func(p *sim.Proc) {
+		task := n.NodeOf(src).CPU.NewTask("retx n"+strconv.Itoa(src), machine.PriHigh)
 		task.Compute(p, n.cost.SendOverhead)
 		n.NodeOf(src).Mem.Alloc(p, n.wireBytes(clone), mem.ClassBuffer)
 		n.routers[src].enqueue(clone)

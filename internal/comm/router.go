@@ -47,8 +47,9 @@ func newRouter(n *Network, local int) *router {
 	node := n.NodeOf(local)
 
 	r.deliveryQ = &msgQueue{}
-	dTask := node.CPU.NewTask(fmt.Sprintf("router%d.deliver", local), machine.PriHigh)
-	r.deliveryQ.daemon = n.k.Spawn(fmt.Sprintf("router%d.deliver", local), func(p *sim.Proc) {
+	name := fmt.Sprintf("router%d.deliver", local)
+	dTask := node.CPU.NewTask(name, machine.PriHigh)
+	r.deliveryQ.daemon = n.k.Spawn(name, func(p *sim.Proc) {
 		for {
 			m := r.deliveryQ.pop(p, "router delivery idle")
 			dTask.Compute(p, n.cost.RouterHopOverhead)
@@ -62,8 +63,9 @@ func newRouter(n *Network, local int) *router {
 		port, nb := port, nb
 		q := &msgQueue{}
 		r.portQ[port] = q
-		task := node.CPU.NewTask(fmt.Sprintf("router%d.port%d", local, port), machine.PriHigh)
-		q.daemon = n.k.Spawn(fmt.Sprintf("router%d.port%d", local, port), func(p *sim.Proc) {
+		name := fmt.Sprintf("router%d.port%d", local, port)
+		task := node.CPU.NewTask(name, machine.PriHigh)
+		q.daemon = n.k.Spawn(name, func(p *sim.Proc) {
 			r.forwardLoop(p, task, q, nb)
 		})
 	}
@@ -156,7 +158,7 @@ func (n *Network) sendWormhole(p *sim.Proc, m *Message) {
 	// Flit-sized channel state at the source while the worm exists.
 	flit := n.cost.FlitBytes
 	n.NodeOf(src).Mem.Alloc(p, flit, mem.ClassBuffer)
-	n.k.Spawn(fmt.Sprintf("worm %s->%s", m.Src, m.Dst), func(wp *sim.Proc) {
+	n.k.Spawn("worm "+m.Src.String()+"->"+m.Dst.String(), func(wp *sim.Proc) {
 		srcTask := n.NodeOf(src).CPU.NewTask("worm.src", machine.PriHigh)
 		srcTask.Compute(wp, n.cost.RouterHopOverhead)
 		// The destination stores the full message; reserve it before taking

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 
@@ -8,6 +10,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -301,5 +304,35 @@ func TestSampleEveryProducesTimeline(t *testing.T) {
 	}
 	if res2.Timeline != nil {
 		t.Error("sampling should be off by default")
+	}
+}
+
+// tracedRunSHA256 is the sha256 of the event log TestTracedRunBytesPinned
+// writes. Tracing is opt-in and call sites format only when a tracer is
+// installed, so any change to this hash is a change to what a traced run
+// reports, not a side effect of making untraced runs cheaper.
+const tracedRunSHA256 = "44976b4cc7d51ac1a3c9436b2d85da14df623140f7ac4efc575ad1863f60be62"
+
+// TestTracedRunBytesPinned: a small traced closed run (4-node mesh
+// partitions, time-shared, matmul) emits job, load and msg events, and the
+// text of its log is byte-for-byte pinned.
+func TestTracedRunBytesPinned(t *testing.T) {
+	var log trace.Log
+	cfg := smallCfg()
+	cfg.Tracer = &log
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	for _, cat := range []string{"job", "load", "msg"} {
+		if len(log.Filter(cat)) == 0 {
+			t.Errorf("no %q events traced", cat)
+		}
+	}
+	h := sha256.New()
+	if _, err := log.WriteTo(h); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != tracedRunSHA256 {
+		t.Errorf("traced log sha256 = %s, want %s (%d events)", got, tracedRunSHA256, log.Len())
 	}
 }

@@ -185,7 +185,7 @@ func (t *Task) Compute(p *sim.Proc, d sim.Time) {
 		t.cpu.submit(b)
 	}
 	for !done {
-		p.Park(fmt.Sprintf("cpu burst on node %d", t.cpu.node))
+		p.Park("cpu burst")
 	}
 }
 

@@ -464,3 +464,27 @@ func TestQueueLensAndRunning(t *testing.T) {
 	})
 	k.Run()
 }
+
+// TestComputeAllocs pins what one uncontended Compute costs the heap: the
+// burst, its completion callback and flag, and the slice timer's callback.
+// A park reason formatted per call, or any other per-call allocation on the
+// burst path, fails here.
+func TestComputeAllocs(t *testing.T) {
+	k := sim.NewKernel(1)
+	defer k.Shutdown()
+	task := NewCPU(k, 0, q).NewTask("a", PriLow)
+	k.Spawn("a", func(p *sim.Proc) {
+		for {
+			task.Compute(p, q/2)
+		}
+	})
+	k.RunUntil(0)
+	limit := k.Now()
+	allocs := testing.AllocsPerRun(100, func() {
+		limit += q / 2
+		k.RunUntil(limit)
+	})
+	if allocs > 5 {
+		t.Errorf("Compute allocates %.1f times per call, want at most 5", allocs)
+	}
+}

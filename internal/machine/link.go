@@ -83,7 +83,7 @@ func (h *HalfLink) Acquire(p *sim.Proc) {
 		}
 	}()
 	for !w.granted {
-		p.Park(fmt.Sprintf("acquire %s", h.name))
+		p.Park(h.name)
 	}
 	h.stats.WaitTime += h.k.Now() - w.since
 }

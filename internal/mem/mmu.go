@@ -188,7 +188,7 @@ func (m *MMU) Alloc(p *sim.Proc, bytes int64, class Class) {
 		}
 	}()
 	for !w.granted {
-		p.Park(fmt.Sprintf("mem alloc %dB on node %d", bytes, m.node))
+		p.Park("mem alloc")
 	}
 	m.stats.BlockedTime += m.k.Now() - w.since
 }

@@ -29,6 +29,7 @@ package sched
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/comm"
@@ -224,6 +225,7 @@ func (p *Partition) degraded() bool { return p.downCount > 0 }
 // jobState tracks one job through the system.
 type jobState struct {
 	job       *workload.Job
+	loader    string // name of the image-load process, "load job7"
 	rec       metrics.JobRecord
 	env       *workload.Env
 	procsLeft int
@@ -340,10 +342,7 @@ func (s *System) submitAfter(batch workload.Batch, after sim.Time) error {
 		if after > 0 && job.Arrival <= after {
 			continue
 		}
-		jobs = append(jobs, &jobState{
-			job: job,
-			rec: metrics.JobRecord{JobID: job.ID, Class: job.Class, Arrival: job.Arrival},
-		})
+		jobs = append(jobs, newJobState(job))
 		idxOf = append(idxOf, i)
 	}
 	if len(jobs)+len(s.records) != len(batch) {
@@ -405,10 +404,7 @@ func (s *System) pump() {
 			s.src = nil
 			return
 		}
-		js := &jobState{
-			job: job,
-			rec: metrics.JobRecord{JobID: job.ID, Class: job.Class, Arrival: job.Arrival},
-		}
+		js := newJobState(job)
 		s.remaining++
 		// Partition routing keys on the job's stream position, exactly as
 		// closed batches key on the batch index.
@@ -470,6 +466,18 @@ func (s *System) Diagnose() string {
 		fmt.Fprintf(&b, "  %s\n", p)
 	}
 	return b.String()
+}
+
+// newJobState admits a job to the scheduler's books. The loader's name is
+// built here, when the job enters the system, because launch often runs on
+// the small stack of a finishing job's process, where formatting the id
+// grew that stack on every dispatch.
+func newJobState(job *workload.Job) *jobState {
+	return &jobState{
+		job:    job,
+		loader: "load job" + strconv.Itoa(job.ID),
+		rec:    metrics.JobRecord{JobID: job.ID, Class: job.Class, Arrival: job.Arrival},
+	}
 }
 
 // atArrival runs fn when the job enters the system.
@@ -548,9 +556,11 @@ func (s *System) launch(part *Partition, js *jobState) {
 	// bumps the job's epoch instead, and the loader backs out at its next
 	// epoch check without leaving memory behind.
 	epoch := js.epoch
-	trace.Emit(s.cfg.Tracer, s.k.Now(), "job", js.job.String(),
-		fmt.Sprintf("dispatched to partition %d", part.idx))
-	s.k.Spawn(fmt.Sprintf("load job%d", js.job.ID), func(p *sim.Proc) {
+	if s.cfg.Tracer != nil {
+		trace.Emit(s.cfg.Tracer, s.k.Now(), "job", js.job.String(),
+			fmt.Sprintf("dispatched to partition %d", part.idx))
+	}
+	s.k.Spawn(js.loader, func(p *sim.Proc) {
 		host := s.cfg.Machine.Host
 		host.Acquire(p)
 		bytes := js.job.App.LoadBytes()
@@ -575,8 +585,10 @@ func (s *System) launch(part *Partition, js *jobState) {
 			}
 		}
 		js.loaded = true
-		trace.Emit(s.cfg.Tracer, s.k.Now(), "load", js.job.String(),
-			fmt.Sprintf("image resident (%dB)", bytes))
+		if s.cfg.Tracer != nil {
+			trace.Emit(s.cfg.Tracer, s.k.Now(), "load", js.job.String(),
+				fmt.Sprintf("image resident (%dB)", bytes))
+		}
 		s.startProcs(part, js)
 	})
 }
@@ -619,7 +631,9 @@ func (s *System) startProcs(part *Partition, js *jobState) {
 	for r := 0; r < t; r++ {
 		binding := env.Ranks[r]
 		r := r
-		js.procs[r] = s.k.Spawn(fmt.Sprintf("job%d.r%d", js.job.ID, r), func(p *sim.Proc) {
+		// The process shares its CPU task's name ("job3.r1"), built once
+		// in NewEnv.
+		js.procs[r] = s.k.Spawn(binding.Task.Name(), func(p *sim.Proc) {
 			var rt *workload.Runtime
 			defer func() {
 				// A kill aborts the process; reclaim whatever it still held
@@ -670,8 +684,10 @@ func (s *System) procDone(js *jobState) {
 		s.records = append(s.records, js.rec)
 	}
 	s.remaining--
-	trace.Emit(s.cfg.Tracer, s.k.Now(), "job", js.job.String(),
-		fmt.Sprintf("completed, response %s", js.rec.Response()))
+	if s.cfg.Tracer != nil {
+		trace.Emit(s.cfg.Tracer, s.k.Now(), "job", js.job.String(),
+			fmt.Sprintf("completed, response %s", js.rec.Response()))
+	}
 	for i := 0; i < js.part.size; i++ {
 		js.part.net.NodeOf(i).Mem.FreeBytes(workload.CodeBytes)
 	}

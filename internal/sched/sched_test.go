@@ -425,7 +425,9 @@ func TestStallDetection(t *testing.T) {
 		t.Fatal("expected stall error")
 	} else {
 		msg := err.Error()
-		for _, want := range []string{"did not complete", "memory pressure", "node 0", "parked processes"} {
+		// The stuck loader is named and says what it waits on.
+		for _, want := range []string{"did not complete", "memory pressure", "node 0", "parked processes",
+			"load job0 (parked: mem alloc)"} {
 			if !strings.Contains(msg, want) {
 				t.Errorf("diagnosis missing %q in:\n%s", want, msg)
 			}

@@ -197,3 +197,26 @@ func TestScheduleCancelFuzz(t *testing.T) {
 		}
 	}
 }
+
+// TestSleepAllocs pins what one Sleep costs the heap: its timer callback and
+// the flag that callback sets. The timer event is pooled and the wake reuses
+// the resume event built at Spawn, so a park reason formatted per call, or
+// any other per-call allocation on the park/wake path, fails here.
+func TestSleepAllocs(t *testing.T) {
+	k := NewKernel(1)
+	defer k.Shutdown()
+	k.Spawn("sleeper", func(p *Proc) {
+		for {
+			p.Sleep(5 * Millisecond)
+		}
+	})
+	k.RunUntil(0)
+	limit := k.Now()
+	allocs := testing.AllocsPerRun(100, func() {
+		limit += 5 * Millisecond
+		k.RunUntil(limit)
+	})
+	if allocs > 2 {
+		t.Errorf("Sleep allocates %.1f times per call, want at most 2", allocs)
+	}
+}

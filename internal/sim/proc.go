@@ -21,6 +21,9 @@ type Proc struct {
 	name string
 
 	resume chan struct{}
+	// wake is the resume event Wake schedules, built once at Spawn so a wake
+	// allocates nothing.
+	wake func()
 
 	parked     bool
 	parkReason string
@@ -44,6 +47,13 @@ func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
 		id:     k.nextPID,
 		name:   name,
 		resume: make(chan struct{}),
+	}
+	p.wake = func() {
+		if p.finished {
+			return
+		}
+		p.resume <- struct{}{}
+		<-k.yield
 	}
 	k.procs[p] = struct{}{}
 	k.AfterFunc(0, func() {
@@ -93,7 +103,9 @@ func (p *Proc) Now() Time { return p.k.now }
 // Park blocks the process until another piece of kernel-context code calls
 // Wake on it. If a Wake was delivered while the process was running (a
 // "permit"), Park consumes it and returns immediately. The reason string is
-// reported by Kernel.ParkedProcs for stall diagnosis.
+// reported by Kernel.ParkedProcs for stall diagnosis. Park runs on every
+// blocking call of every process, so callers pass a constant (or a string
+// built once ahead of time), never one formatted per call.
 //
 // Park must only be called by the process itself.
 func (p *Proc) Park(reason string) {
@@ -153,13 +165,7 @@ func (p *Proc) Wake() {
 	}
 	p.parked = false
 	p.parkReason = ""
-	p.k.AfterFunc(0, func() {
-		if p.finished {
-			return
-		}
-		p.resume <- struct{}{}
-		<-p.k.yield
-	})
+	p.k.AfterFunc(0, p.wake)
 }
 
 // Sleep suspends the process for d microseconds of simulated time. Even a
@@ -174,7 +180,7 @@ func (p *Proc) Sleep(d Time) {
 		p.Wake()
 	})
 	for !done {
-		p.Park(fmt.Sprintf("sleep %s", d))
+		p.Park("sleep")
 	}
 }
 

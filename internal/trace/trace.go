@@ -1,7 +1,11 @@
 // Package trace provides optional structured event tracing for simulation
 // runs: job lifecycle, message movement, and any other component that wants
-// to narrate what it does. Tracing is off unless a Tracer is installed, and
-// costs a single nil check per event when off.
+// to narrate what it does. Tracing is off unless a Tracer is installed.
+//
+// Call sites guard: a simulator component checks its tracer for nil before
+// it builds an event's subject and detail strings, so "off" costs one nil
+// check per event and formats nothing. Emit repeats the check for callers
+// whose arguments cost nothing to build.
 package trace
 
 import (

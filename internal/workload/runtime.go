@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/comm"
 	"repro/internal/machine"
@@ -30,11 +31,12 @@ type Env struct {
 // node nodeOf(r). Mailboxes and low-priority CPU tasks are created here.
 func NewEnv(net *comm.Network, jobID int, nodeOf []int) *Env {
 	env := &Env{Net: net, JobID: jobID, Ranks: make([]RankBinding, len(nodeOf))}
+	prefix := "job" + strconv.Itoa(jobID) + ".r"
 	for r, node := range nodeOf {
 		env.Ranks[r] = RankBinding{
 			Node: node,
 			Box:  net.NewMailbox(node),
-			Task: net.NodeOf(node).CPU.NewTask(fmt.Sprintf("job%d.r%d", jobID, r), machine.PriLow),
+			Task: net.NodeOf(node).CPU.NewTask(prefix+strconv.Itoa(r), machine.PriLow),
 		}
 	}
 	return env
