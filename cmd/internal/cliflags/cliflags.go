@@ -168,19 +168,6 @@ func OrderKinds(s string) ([]sched.OrderKind, error) {
 	return parseList(s, sched.ParseOrderKind)
 }
 
-// BatchOrder parses a batch submission order.
-func BatchOrder(s string) (core.Order, error) {
-	switch s {
-	case "submission", "sub":
-		return core.Submission, nil
-	case "smallest-first", "sf":
-		return core.SmallestFirst, nil
-	case "largest-first", "lf":
-		return core.LargestFirst, nil
-	}
-	return 0, fmt.Errorf("unknown batch order %q (valid: submission, smallest-first, largest-first)", s)
-}
-
 // nameSize splits a "name:123" spec value. A bare integer yields name = ""
 // with its value in n; a bare name yields n = -1; "name:123" yields both.
 func nameSize(v string) (name string, n int64, err error) {
@@ -246,7 +233,7 @@ func QuantumSpec(cfg *core.Config, v string) error {
 // disjoint, so each token is unambiguous.
 func OrderSpec(cfg *core.Config, v string) error {
 	for _, tok := range Split(v) {
-		if o, err := BatchOrder(tok); err == nil {
+		if o, err := core.ParseOrder(tok); err == nil {
 			cfg.Order = o
 			continue
 		}

@@ -3,12 +3,12 @@
 // worker registration/lease protocol that keeps the fleet view current.
 //
 // The coordinator routes every point by rendezvous hashing on its content
-// address (core.Config.Hash or the serve request key), so repeated and
-// overlapping sweeps land on the worker that already holds the cached
-// result — cache-affine routing, the same trick inference routers play
-// with KV caches. Around that affinity it layers the machinery a real
-// fleet needs: per-worker in-flight bounds, bounded 429 backoff honoring
-// the worker's Retry-After, a per-worker circuit breaker
+// address (the serve key the worker caches its response under), so
+// repeated and overlapping sweeps land on the worker that already holds
+// the cached result — cache-affine routing, the same trick inference
+// routers play with KV caches. Around that affinity it layers the
+// machinery a real fleet needs: per-worker in-flight bounds, bounded 429
+// backoff honoring the worker's Retry-After, a per-worker circuit breaker
 // (closed/open/half-open) that demotes flapping workers with
 // exponentially growing open periods, failover to the next-ranked worker
 // when the home worker dies or drains (failure-aware rebalancing),
@@ -183,17 +183,6 @@ func (c *Coordinator) SetWorkers(urls []string) {
 		next[u] = &worker{url: u, slots: make(chan struct{}, c.opts.PerWorkerInflight)}
 	}
 	c.workers = next
-}
-
-// WorkerURLs reports the current fleet, unordered.
-func (c *Coordinator) WorkerURLs() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]string, 0, len(c.workers))
-	for u := range c.workers {
-		out = append(out, u)
-	}
-	return out
 }
 
 // SuggestedParallelism is the client-side in-flight bound that saturates

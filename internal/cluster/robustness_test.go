@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -227,6 +228,110 @@ func TestClusterJournalPartialResume(t *testing.T) {
 	}
 	if len(records) != len(cfgs) {
 		t.Errorf("journal has %d records, want %d", len(records), len(cfgs))
+	}
+}
+
+// memoMap is an in-memory engine.Memo; failPut simulates a journal whose
+// disk died mid-sweep.
+type memoMap struct {
+	mu      sync.Mutex
+	m       map[string][]byte
+	failPut error
+}
+
+func (mm *memoMap) Get(key string) ([]byte, bool) {
+	mm.mu.Lock()
+	defer mm.mu.Unlock()
+	b, ok := mm.m[key]
+	return b, ok
+}
+
+func (mm *memoMap) Put(key string, body []byte) error {
+	mm.mu.Lock()
+	defer mm.mu.Unlock()
+	if mm.failPut != nil {
+		return mm.failPut
+	}
+	if mm.m == nil {
+		mm.m = make(map[string][]byte)
+	}
+	mm.m[key] = body
+	return nil
+}
+
+// flakyWorker answers 200 with a fixed body, or 500 while failing is set,
+// counting every request.
+func flakyWorker(t *testing.T, failing *atomic.Bool, calls *atomic.Int64) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		io.Copy(io.Discard, r.Body)
+		if failing.Load() {
+			http.Error(w, "simulated worker fault", http.StatusInternalServerError)
+			return
+		}
+		w.Write([]byte(`{"ok":true}`))
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestClusterJournalPutFailureFailsPoint: losing the journal fails the
+// point even though a worker answered — a sweep that silently stops being
+// resumable is worse than one that stops.
+func TestClusterJournalPutFailureFailsPoint(t *testing.T) {
+	var failing atomic.Bool
+	var calls atomic.Int64
+	w := flakyWorker(t, &failing, &calls)
+	sick := errors.New("disk gone")
+	c := New(Options{Workers: []string{w.URL}, DisableHedging: true, Memo: &memoMap{failPut: sick}})
+	_, err := c.Do(context.Background(), engine.RemotePoint{Label: "p", Key: "k", Path: "/x"})
+	if !errors.Is(err, sick) {
+		t.Fatalf("err = %v, want the Put failure", err)
+	}
+	if calls.Load() != 1 {
+		t.Errorf("worker calls = %d, want 1", calls.Load())
+	}
+	if snap := c.Snapshot(); snap.JournalAppends != 0 || snap.Points != 0 {
+		t.Errorf("failed point counted: appends=%d points=%d, want 0/0", snap.JournalAppends, snap.Points)
+	}
+}
+
+// TestClusterJournalSkipsFailedPoints: only successful bodies are
+// journaled; a point that failed on every worker stays out of the journal
+// and runs again on resume.
+func TestClusterJournalSkipsFailedPoints(t *testing.T) {
+	var failing atomic.Bool
+	var calls atomic.Int64
+	w := flakyWorker(t, &failing, &calls)
+	mm := &memoMap{}
+	pt := engine.RemotePoint{Label: "p", Key: "k", Path: "/x"}
+
+	failing.Store(true)
+	first := New(Options{Workers: []string{w.URL}, DisableHedging: true, Memo: mm})
+	if _, err := first.Do(context.Background(), pt); err == nil {
+		t.Fatal("point succeeded on a failing worker")
+	}
+	if _, ok := mm.Get("k"); ok {
+		t.Fatal("failed point was journaled")
+	}
+
+	// The worker recovers; a resumed coordinator over the same journal
+	// must run the point, not replay it, and journal it once.
+	failing.Store(false)
+	resumed := New(Options{Workers: []string{w.URL}, DisableHedging: true, Memo: mm})
+	body, err := resumed.Do(context.Background(), pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := mm.Get("k"); !ok || !bytes.Equal(got, body) {
+		t.Fatalf("recovered point journaled as %q (present %v), want %q", got, ok, body)
+	}
+	if calls.Load() != 2 {
+		t.Errorf("worker calls = %d, want 2 (one failure, one rerun)", calls.Load())
+	}
+	if snap := resumed.Snapshot(); snap.JournalHits != 0 || snap.JournalAppends != 1 {
+		t.Errorf("resume journal: hits=%d appends=%d, want 0/1", snap.JournalHits, snap.JournalAppends)
 	}
 }
 

@@ -17,10 +17,11 @@ import (
 // invariant lives here.
 
 // ConfigPoint converts a config into the remote point the coordinator
-// routes: body is the /v1/point request, key is the canonical config hash
-// (the same address the worker caches under). Configs that are not
-// wire-representable (custom cost models, tracers, batches) fail here,
-// before anything touches the network.
+// routes: body is the /v1/point request, key is serve.PointKey of the
+// canonical config hash — the address the worker caches the response
+// under, and the key the coordinator's proxy routes the same body by.
+// Configs that are not wire-representable (custom cost models, tracers,
+// batches) fail here, before anything touches the network.
 func ConfigPoint(cfg core.Config) (engine.RemotePoint, error) {
 	spec, err := serve.SpecFromConfig(cfg)
 	if err != nil {
@@ -36,7 +37,7 @@ func ConfigPoint(cfg core.Config) (engine.RemotePoint, error) {
 	}
 	return engine.RemotePoint{
 		Label: cfg.Label(),
-		Key:   hash,
+		Key:   serve.PointKey(hash),
 		Path:  "/v1/point",
 		Body:  body,
 	}, nil

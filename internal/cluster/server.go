@@ -115,17 +115,17 @@ type workerRef struct {
 func decodeWorkerRef(w http.ResponseWriter, r *http.Request) (string, bool) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
+		serve.WriteError(w, http.StatusMethodNotAllowed, "POST only", "")
 		return "", false
 	}
 	var ref workerRef
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4<<10)).Decode(&ref); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
+		serve.WriteError(w, http.StatusBadRequest, fmt.Sprintf("invalid JSON body: %v", err), "")
 		return "", false
 	}
 	ref.Addr = strings.TrimRight(ref.Addr, "/")
 	if !strings.HasPrefix(ref.Addr, "http://") && !strings.HasPrefix(ref.Addr, "https://") {
-		httpError(w, http.StatusBadRequest, "addr must be an http(s) base URL, got %q", ref.Addr)
+		serve.WriteError(w, http.StatusBadRequest, fmt.Sprintf("addr must be an http(s) base URL, got %q", ref.Addr), "")
 		return "", false
 	}
 	return ref.Addr, true
@@ -151,7 +151,7 @@ func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
 		// Lease lapsed (a long GC pause, a partition): tell the worker to
 		// re-register rather than silently re-granting, so the fleet-change
 		// notification fires and routing picks the worker back up.
-		httpError(w, http.StatusNotFound, "no live lease for %q, re-register", addr)
+		serve.WriteError(w, http.StatusNotFound, fmt.Sprintf("no live lease for %q, re-register", addr), "")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -171,7 +171,7 @@ func (s *Server) handleDeregister(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleWorkers(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
-		httpError(w, http.StatusMethodNotAllowed, "GET only")
+		serve.WriteError(w, http.StatusMethodNotAllowed, "GET only", "")
 		return
 	}
 	workers := s.reg.workers()
@@ -191,17 +191,17 @@ func (s *Server) handleWorkers(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleProxy(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
+		serve.WriteError(w, http.StatusMethodNotAllowed, "POST only", "")
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "reading body: %v", err)
+		serve.WriteError(w, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err), "")
 		return
 	}
 	key, contentType, err := requestKey(r.URL.Path, body)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		serve.WriteError(w, http.StatusBadRequest, err.Error(), "")
 		return
 	}
 	resp, err := s.coord.Do(r.Context(), engine.RemotePoint{
@@ -211,11 +211,11 @@ func (s *Server) handleProxy(w http.ResponseWriter, r *http.Request) {
 		var perm *permanentError
 		switch {
 		case errors.As(err, &perm):
-			httpError(w, http.StatusBadRequest, "%v", err)
+			serve.WriteError(w, http.StatusBadRequest, err.Error(), "")
 		case errors.Is(err, errNoWorkers):
-			httpError(w, http.StatusServiceUnavailable, "no workers registered")
+			serve.WriteError(w, http.StatusServiceUnavailable, "no workers registered", "")
 		default:
-			httpError(w, http.StatusBadGateway, "%v", err)
+			serve.WriteError(w, http.StatusBadGateway, err.Error(), "")
 		}
 		return
 	}
@@ -266,11 +266,4 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	promtext.Writer{B: &b}.Gauge("cluster_workers", "Live worker leases.", int64(len(s.reg.workers())))
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	fmt.Fprint(w, b.String())
-}
-
-// httpError mirrors serve's uniform JSON error body.
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	fmt.Fprintf(w, "{\"error\":%q}\n", fmt.Sprintf(format, args...))
 }

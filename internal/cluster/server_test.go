@@ -131,3 +131,68 @@ func TestClusterServerLifecycle(t *testing.T) {
 		t.Errorf("proxy after deregister: status %d, want 503", resp.StatusCode)
 	}
 }
+
+// TestClusterProxyRelaysWorkerErrorAsJSON: a worker's 400 body is relayed
+// cut to 200 bytes, which can split a multi-byte rune; the proxy's error
+// body must still be valid JSON.
+func TestClusterProxyRelaysWorkerErrorAsJSON(t *testing.T) {
+	body := strings.Repeat("x", 199) + "é" + strings.Repeat("y", 99) // é spans bytes 199-200
+	if len(body) != 300 {
+		t.Fatalf("worker body is %d bytes, want 300", len(body))
+	}
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		w.WriteHeader(http.StatusBadRequest)
+		io.WriteString(w, body)
+	}))
+	t.Cleanup(worker.Close)
+
+	coord := New(Options{DisableHedging: true})
+	cs := NewServer(ServerOptions{Coordinator: coord, LeaseTTL: time.Minute, Logger: discardLogger()})
+	t.Cleanup(cs.Close)
+	front := httptest.NewServer(cs.Handler())
+	t.Cleanup(front.Close)
+	client := &http.Client{Timeout: 30 * time.Second}
+	if _, err := RegisterWorker(context.Background(), client, front.URL, worker.URL); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := client.Post(front.URL+"/v1/run", "application/json",
+		strings.NewReader(`{"config":{"partition":4,"topology":"mesh","policy":"ts"}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400 (body %s)", resp.StatusCode, got)
+	}
+	var eb struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(got, &eb); err != nil {
+		t.Fatalf("proxy error body is not JSON: %v\n%q", err, got)
+	}
+	if !strings.Contains(eb.Error, strings.Repeat("x", 199)) {
+		t.Errorf("relayed error lost the worker's message: %q", eb.Error)
+	}
+}
+
+// TestClusterConfigPointKeyMatchesProxy: a point sent by a -cluster tool
+// and the same body sent through the coordinator's proxy route to the same
+// worker, under the key the worker caches it by.
+func TestClusterConfigPointKeyMatchesProxy(t *testing.T) {
+	for _, cfg := range grid(t) {
+		pt, err := ConfigPoint(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, _, err := requestKey(pt.Path, pt.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pt.Key != key {
+			t.Errorf("%s: ConfigPoint key %.12s, proxy key %.12s", pt.Label, pt.Key, key)
+		}
+	}
+}

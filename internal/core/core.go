@@ -94,6 +94,20 @@ func (o Order) String() string {
 	}
 }
 
+// ParseOrder parses a batch order: "submission" ("sub"), "smallest-first"
+// ("sf") or "largest-first" ("lf").
+func ParseOrder(s string) (Order, error) {
+	switch s {
+	case "submission", "sub":
+		return Submission, nil
+	case "smallest-first", "sf":
+		return SmallestFirst, nil
+	case "largest-first", "lf":
+		return LargestFirst, nil
+	}
+	return 0, fmt.Errorf("core: unknown batch order %q (valid: submission, smallest-first, largest-first)", s)
+}
+
 // Config selects one experimental configuration. Zero values default to the
 // paper's system: 16 processors, 4 MB nodes, store-and-forward switching,
 // the default cost models, and the hardware basic quantum.

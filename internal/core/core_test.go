@@ -52,6 +52,25 @@ func TestAppKindParsing(t *testing.T) {
 	}
 }
 
+func TestOrderParsing(t *testing.T) {
+	for s, want := range map[string]Order{
+		"submission": Submission, "sub": Submission,
+		"smallest-first": SmallestFirst, "sf": SmallestFirst,
+		"largest-first": LargestFirst, "lf": LargestFirst,
+	} {
+		got, err := ParseOrder(s)
+		if err != nil || got != want {
+			t.Errorf("ParseOrder(%q) = %v, %v; want %v", s, got, err, want)
+		}
+		if back, err := ParseOrder(got.String()); err != nil || back != got {
+			t.Errorf("ParseOrder(%v.String()) = %v, %v", got, back, err)
+		}
+	}
+	if _, err := ParseOrder("random"); err == nil {
+		t.Error("unknown batch order should fail")
+	}
+}
+
 func TestOrderString(t *testing.T) {
 	if Submission.String() != "submission" || SmallestFirst.String() != "smallest-first" || LargestFirst.String() != "largest-first" {
 		t.Error("order strings")

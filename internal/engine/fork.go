@@ -34,10 +34,6 @@ type ForkGroup struct {
 	once sync.Once
 	warm *core.Warm
 	err  error
-
-	encOnce sync.Once
-	enc     []byte
-	encErr  error
 }
 
 // Base is the group's donor configuration — the first member in
@@ -50,18 +46,6 @@ func (g *ForkGroup) Base() core.Config { return g.base }
 func (g *ForkGroup) Warm() (*core.Warm, error) {
 	g.once.Do(func() { g.warm, g.err = core.Prepare(g.base, g.fp) })
 	return g.warm, g.err
-}
-
-// EncodedSnapshot returns the group's serialized snapshot for shipping to
-// a cluster worker, preparing the donor first if needed. The bytes are
-// encoded once and shared — callers must not mutate them.
-func (g *ForkGroup) EncodedSnapshot() ([]byte, error) {
-	w, err := g.Warm()
-	if err != nil {
-		return nil, err
-	}
-	g.encOnce.Do(func() { g.enc, g.encErr = w.Snapshot().Encode() })
-	return g.enc, g.encErr
 }
 
 // ForkSweep is a grid analyzed for warm forking: every enumeration point

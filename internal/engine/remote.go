@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"context"
-	"sync/atomic"
-)
+import "context"
 
 // Remote execution: the same plan/point/merge contract as the local worker
 // pool, with the point's work done somewhere else. A RemotePoint carries no
@@ -22,8 +19,8 @@ import (
 type RemotePoint struct {
 	// Label appears in diagnostics, like Point.Label.
 	Label string
-	// Key is the point's content address (core.Config.Hash or the serve
-	// request key). Remotes route on it: equal keys land on the same
+	// Key is the point's content address (the serve key the worker caches
+	// its response under). Remotes route on it: equal keys land on the same
 	// worker while the fleet is stable, which is what makes worker-side
 	// result caches effective across repeated and overlapping sweeps.
 	Key string
@@ -77,48 +74,6 @@ type Memo interface {
 	Put(key string, body []byte) error
 }
 
-// WithMemo wraps a Remote so completed points are recorded in, and
-// replayed from, the memo: re-executing a plan after a crash skips every
-// already-completed point byte-identically and runs only the remainder.
-// Hits and Misses on the returned wrapper count the split.
-func WithMemo(r Remote, m Memo) *MemoRemote {
-	return &MemoRemote{remote: r, memo: m}
-}
-
-// MemoRemote is a Remote with memoized (resumable) execution.
-type MemoRemote struct {
-	remote Remote
-	memo   Memo
-
-	hits   atomic.Int64
-	misses atomic.Int64
-}
-
-// Do answers from the memo when the point has already completed, and
-// records the body (durably, per the Memo) before reporting success
-// otherwise — so a point acknowledged to the caller is never recomputed
-// after a resume.
-func (m *MemoRemote) Do(ctx context.Context, p RemotePoint) ([]byte, error) {
-	if body, ok := m.memo.Get(p.Key); ok {
-		m.hits.Add(1)
-		return body, nil
-	}
-	body, err := m.remote.Do(ctx, p)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.memo.Put(p.Key, body); err != nil {
-		return nil, err
-	}
-	m.misses.Add(1)
-	return body, nil
-}
-
-// Hits reports points answered from the memo; Misses reports points the
-// wrapped remote had to execute.
-func (m *MemoRemote) Hits() int64   { return m.hits.Load() }
-func (m *MemoRemote) Misses() int64 { return m.misses.Load() }
-
 // ExecuteRemoteAll fans the plan out over the remote with bounded client
 // concurrency (Options.Workers bounds in-flight requests, not simulations)
 // and collects response bodies and errors keyed by point index — the same
@@ -131,16 +86,4 @@ func ExecuteRemoteAll(ctx context.Context, r Remote, p *RemotePlan, opts ...Opti
 		plan.Add(pt.Label, func() ([]byte, error) { return r.Do(ctx, pt) })
 	}
 	return ExecuteAllCtx(ctx, plan, Pick(opts...))
-}
-
-// ExecuteRemote is ExecuteRemoteAll returning the lowest-indexed failure,
-// mirroring Execute.
-func ExecuteRemote(ctx context.Context, r Remote, p *RemotePlan, opts ...Options) ([][]byte, error) {
-	results, errs := ExecuteRemoteAll(ctx, r, p, opts...)
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -68,9 +67,6 @@ func TestClusterRemoteErrorIsolation(t *testing.T) {
 			t.Fatalf("point %d = %q, %v", i, bodies[i], errs[i])
 		}
 	}
-	if _, err := ExecuteRemote(context.Background(), r, remotePlan(6), Options{Workers: 3}); !errors.Is(err, boom) {
-		t.Fatalf("ExecuteRemote err = %v, want boom", err)
-	}
 }
 
 // TestClusterRemoteCancellation: a cancelled context stamps undispatched
@@ -87,108 +83,5 @@ func TestClusterRemoteCancellation(t *testing.T) {
 	}
 	if got := r.calls.Load(); got != 0 {
 		t.Fatalf("remote called %d times after cancel, want 0", got)
-	}
-}
-
-// memoMap is an in-memory Memo for tests; failPut simulates a journal
-// whose disk died mid-sweep.
-type memoMap struct {
-	mu      sync.Mutex
-	m       map[string][]byte
-	failPut error
-	puts    int
-}
-
-func (mm *memoMap) Get(key string) ([]byte, bool) {
-	mm.mu.Lock()
-	defer mm.mu.Unlock()
-	b, ok := mm.m[key]
-	return b, ok
-}
-
-func (mm *memoMap) Put(key string, body []byte) error {
-	mm.mu.Lock()
-	defer mm.mu.Unlock()
-	if mm.failPut != nil {
-		return mm.failPut
-	}
-	if mm.m == nil {
-		mm.m = make(map[string][]byte)
-	}
-	mm.m[key] = body
-	mm.puts++
-	return nil
-}
-
-// TestClusterRemoteMemoResume: a memoized plan executed twice calls the
-// remote only for points absent from the memo, and replays recorded bodies
-// byte-identically.
-func TestClusterRemoteMemoResume(t *testing.T) {
-	mm := &memoMap{}
-	r := &fakeRemote{}
-	wrapped := WithMemo(r, mm)
-
-	first, errs := ExecuteRemoteAll(context.Background(), wrapped, remotePlan(9), Options{Workers: 3})
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("point %d: %v", i, err)
-		}
-	}
-	if r.calls.Load() != 9 || wrapped.Misses() != 9 || wrapped.Hits() != 0 {
-		t.Fatalf("first run: calls=%d misses=%d hits=%d", r.calls.Load(), wrapped.Misses(), wrapped.Hits())
-	}
-
-	// "Crash" and resume: a fresh wrapper over the same memo, the remote
-	// untouched for replayed points.
-	resumed := WithMemo(r, mm)
-	second, errs := ExecuteRemoteAll(context.Background(), resumed, remotePlan(9), Options{Workers: 3})
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("resume point %d: %v", i, err)
-		}
-		if string(second[i]) != string(first[i]) {
-			t.Fatalf("resume point %d = %q, want %q", i, second[i], first[i])
-		}
-	}
-	if r.calls.Load() != 9 {
-		t.Errorf("resume touched the remote: %d calls, want 9", r.calls.Load())
-	}
-	if resumed.Hits() != 9 || resumed.Misses() != 0 {
-		t.Errorf("resume: hits=%d misses=%d, want 9/0", resumed.Hits(), resumed.Misses())
-	}
-}
-
-// TestClusterRemoteMemoPutFailureFailsPoint: losing the journal fails the
-// point — a sweep that silently stops being resumable is worse than one
-// that stops.
-func TestClusterRemoteMemoPutFailureFailsPoint(t *testing.T) {
-	sick := errors.New("disk gone")
-	wrapped := WithMemo(&fakeRemote{}, &memoMap{failPut: sick})
-	_, err := wrapped.Do(context.Background(), RemotePoint{Key: "k"})
-	if !errors.Is(err, sick) {
-		t.Fatalf("err = %v, want the Put failure", err)
-	}
-}
-
-// TestClusterRemoteMemoSkipsFailedPoints: only successful bodies are
-// recorded; a failing point stays un-memoized and retries on resume.
-func TestClusterRemoteMemoSkipsFailedPoints(t *testing.T) {
-	boom := errors.New("boom")
-	mm := &memoMap{}
-	r := &fakeRemote{fail: map[string]error{"k1": boom}}
-	wrapped := WithMemo(r, mm)
-	if _, err := wrapped.Do(context.Background(), RemotePoint{Key: "k1"}); !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-	if _, ok := mm.Get("k1"); ok {
-		t.Fatal("failed point was memoized")
-	}
-	// The remote recovers; the point completes and is recorded.
-	delete(r.fail, "k1")
-	if _, err := wrapped.Do(context.Background(), RemotePoint{Key: "k1"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := mm.Get("k1"); !ok {
-		t.Fatal("recovered point not memoized")
 	}
 }

@@ -67,178 +67,90 @@ type CatalogEntry struct {
 	ID string
 	// Title is the one-line description shown by listings.
 	Title string
-	// Run executes the experiment from the given base config and renders
-	// it in the requested format. Cancellation arrives via opts.Ctx.
-	Run func(base core.Config, format Format, opts engine.Options) (string, error)
+	run   func(base core.Config, opts engine.Options) (report, error)
 }
 
-// render3 adapts an experiment with table/CSV/JSON renderers to a Run func.
-func render3(format Format, table func() string, csv func() string, json func() string) string {
+// Run executes the experiment from the given base config and renders it in
+// the requested format. Cancellation arrives via opts.Ctx.
+func (e CatalogEntry) Run(base core.Config, format Format, opts engine.Options) (string, error) {
+	r, err := e.run(base, opts)
+	if err != nil {
+		return "", err
+	}
+	return r.render(format), nil
+}
+
+// report is one experiment's result, ready to render: the human table, and
+// the columns and row feed its CSV and JSON documents share.
+type report struct {
+	table string
+	cols  []string
+	rows  func(rowWriter)
+}
+
+func (r report) render(format Format) string {
 	switch format {
 	case CSV:
-		return csv()
+		return renderCSV(r.cols, r.rows)
 	case JSON:
-		return json()
+		return renderJSON(r.cols, r.rows)
 	default:
-		return table()
+		return r.table
 	}
 }
 
-func figureEntry(id, title string, f func(core.Config, ...engine.Options) (*Figure, error)) CatalogEntry {
-	return CatalogEntry{ID: id, Title: title, Run: func(base core.Config, format Format, opts engine.Options) (string, error) {
-		fig, err := f(base, opts)
+// experiment builds one catalog entry: run computes the result from the
+// base config, and table, cols and rows turn it into its report.
+func experiment[T any](id, title string, run func(core.Config, ...engine.Options) (T, error),
+	table func(T) string, cols []string, rows func(T) func(rowWriter)) CatalogEntry {
+	return CatalogEntry{ID: id, Title: title, run: func(base core.Config, opts engine.Options) (report, error) {
+		v, err := run(base, opts)
 		if err != nil {
-			return "", err
+			return report{}, err
 		}
-		return render3(format, fig.Table, fig.CSV, fig.JSON), nil
+		return report{table(v), cols, rows(v)}, nil
 	}}
 }
 
 var catalog = []CatalogEntry{
-	figureEntry("f3", "Figure 3: matmul, fixed architecture", Figure3),
-	figureEntry("f4", "Figure 4: matmul, adaptive architecture", Figure4),
-	figureEntry("f5", "Figure 5: sort, fixed architecture", Figure5),
-	figureEntry("f6", "Figure 6: sort, adaptive architecture", Figure6),
-	{"e1", "E1: service-time variance sensitivity", func(base core.Config, format Format, opts engine.Options) (string, error) {
-		points, err := VarianceSweep(DefaultCVs, base, opts)
-		if err != nil {
-			return "", err
-		}
-		return render3(format,
-			func() string { return VarianceTable(points) },
-			func() string { return VarianceCSV(points) },
-			func() string { return VarianceJSON(points) }), nil
-	}},
-	{"e2", "E2: wormhole routing ablation", func(base core.Config, format Format, opts engine.Options) (string, error) {
-		cells, err := WormholeAblation(base, opts)
-		if err != nil {
-			return "", err
-		}
-		return render3(format,
-			func() string { return AblationTable(cells) },
-			func() string { return AblationCSV(cells) },
-			func() string { return AblationJSON(cells) }), nil
-	}},
-	{"e3", "E3: basic quantum sweep", func(base core.Config, format Format, opts engine.Options) (string, error) {
-		points, err := QuantumSweep(DefaultQuanta, base, opts)
-		if err != nil {
-			return "", err
-		}
-		return render3(format,
-			func() string { return QuantumTable(points) },
-			func() string { return QuantumCSV(points) },
-			func() string { return QuantumJSON(points) }), nil
-	}},
-	{"e4", "E4: RR-job vs RR-process fairness", func(base core.Config, format Format, opts engine.Options) (string, error) {
-		r, err := RunRRComparison(base, opts)
-		if err != nil {
-			return "", err
-		}
-		return render3(format,
-			func() string { return RRTable(r) },
-			func() string { return RRCSV(r) },
-			func() string { return RRJSON(r) }), nil
-	}},
-	{"e5", "E5: multiprogramming level tuning", func(base core.Config, format Format, opts engine.Options) (string, error) {
-		points, err := MPLSweep(DefaultMPLs, base, opts)
-		if err != nil {
-			return "", err
-		}
-		return render3(format,
-			func() string { return MPLTable(points) },
-			func() string { return MPLCSV(points) },
-			func() string { return MPLJSON(points) }), nil
-	}},
-	{"e6", "E6: open-system load sweep (static/hybrid/dynamic)", func(base core.Config, format Format, opts engine.Options) (string, error) {
-		points, err := OpenLoadSweep(DefaultLoads, base, opts)
-		if err != nil {
-			return "", err
-		}
-		return render3(format,
-			func() string { return LoadTable(points) },
-			func() string { return LoadCSV(points) },
-			func() string { return LoadJSON(points) }), nil
-	}},
-	{"e7", "E7: gang scheduling vs RR-job", func(base core.Config, format Format, opts engine.Options) (string, error) {
-		cells, err := GangVsRRJob(base, opts)
-		if err != nil {
-			return "", err
-		}
-		return render3(format,
-			func() string { return GangTable(cells) },
-			func() string { return GangCSV(cells) },
-			func() string { return GangJSON(cells) }), nil
-	}},
-	{"e8", "E8: topology stress with the halo-exchange stencil", func(base core.Config, format Format, opts engine.Options) (string, error) {
-		cells, err := StencilTopology(base, opts)
-		if err != nil {
-			return "", err
-		}
-		return render3(format,
-			func() string { return StencilTable(cells) },
-			func() string { return StencilCSV(cells) },
-			func() string { return StencilJSON(cells) }), nil
-	}},
-	{"e9", "E9: machine-size scalability (16-64 nodes)", func(base core.Config, format Format, opts engine.Options) (string, error) {
-		cells, err := Scalability(DefaultScales, base, opts)
-		if err != nil {
-			return "", err
-		}
-		return render3(format,
-			func() string { return ScaleTable(cells) },
-			func() string { return ScaleCSV(cells) },
-			func() string { return ScaleJSON(cells) }), nil
-	}},
-	{"e10", "E10: binomial-tree broadcast ablation", func(base core.Config, format Format, opts engine.Options) (string, error) {
-		cells, err := BroadcastAblation(base, opts)
-		if err != nil {
-			return "", err
-		}
-		return render3(format,
-			func() string { return BroadcastTable(cells) },
-			func() string { return BroadcastCSV(cells) },
-			func() string { return BroadcastJSON(cells) }), nil
-	}},
-	{"e11", "E11: sort-algorithm ablation (selection vs merge)", func(base core.Config, format Format, opts engine.Options) (string, error) {
-		cells, err := SortAlgorithmAblation(base, opts)
-		if err != nil {
-			return "", err
-		}
-		return render3(format,
-			func() string { return SortAlgTable(cells) },
-			func() string { return SortAlgCSV(cells) },
-			func() string { return SortAlgJSON(cells) }), nil
-	}},
-	{"e12", "E12: butterfly all-reduce vs topology", func(base core.Config, format Format, opts engine.Options) (string, error) {
-		cells, err := CollectiveTopology(base, opts)
-		if err != nil {
-			return "", err
-		}
-		return render3(format,
-			func() string { return CollectiveTable(cells) },
-			func() string { return CollectiveCSV(cells) },
-			func() string { return CollectiveJSON(cells) }), nil
-	}},
-	{"e14", "E14: policy zoo vs the paper's disciplines", func(base core.Config, format Format, opts engine.Options) (string, error) {
-		cells, err := PolicyZoo(base, opts)
-		if err != nil {
-			return "", err
-		}
-		return render3(format,
-			func() string { return ZooTable(cells) },
-			func() string { return ZooCSV(cells) },
-			func() string { return ZooJSON(cells) }), nil
-	}},
-	{"e15", "E15: policy zoo under open-system load", func(base core.Config, format Format, opts engine.Options) (string, error) {
-		cells, err := OpenSweep(base, nil, opts)
-		if err != nil {
-			return "", err
-		}
-		return render3(format,
-			func() string { return OpenSweepTable(cells) },
-			func() string { return OpenSweepCSV(cells) },
-			func() string { return OpenSweepJSON(cells) }), nil
-	}},
+	experiment("f3", "Figure 3: matmul, fixed architecture", Figure3, (*Figure).Table, figureCols, figureRows),
+	experiment("f4", "Figure 4: matmul, adaptive architecture", Figure4, (*Figure).Table, figureCols, figureRows),
+	experiment("f5", "Figure 5: sort, fixed architecture", Figure5, (*Figure).Table, figureCols, figureRows),
+	experiment("f6", "Figure 6: sort, adaptive architecture", Figure6, (*Figure).Table, figureCols, figureRows),
+	experiment("e1", "E1: service-time variance sensitivity",
+		func(b core.Config, o ...engine.Options) ([]VariancePoint, error) {
+			return VarianceSweep(DefaultCVs, b, o...)
+		},
+		VarianceTable, varianceCols, varianceRows),
+	experiment("e2", "E2: wormhole routing ablation", WormholeAblation, AblationTable, ablationCols, ablationRows),
+	experiment("e3", "E3: basic quantum sweep",
+		func(b core.Config, o ...engine.Options) ([]QuantumPoint, error) {
+			return QuantumSweep(DefaultQuanta, b, o...)
+		},
+		QuantumTable, quantumCols, quantumRows),
+	experiment("e4", "E4: RR-job vs RR-process fairness", RunRRComparison, RRTable, rrCols, rrRows),
+	experiment("e5", "E5: multiprogramming level tuning",
+		func(b core.Config, o ...engine.Options) ([]MPLPoint, error) { return MPLSweep(DefaultMPLs, b, o...) },
+		MPLTable, mplCols, mplRows),
+	experiment("e6", "E6: open-system load sweep (static/hybrid/dynamic)",
+		func(b core.Config, o ...engine.Options) ([]LoadPoint, error) {
+			return OpenLoadSweep(DefaultLoads, b, o...)
+		},
+		LoadTable, loadCols, loadRows),
+	experiment("e7", "E7: gang scheduling vs RR-job", GangVsRRJob, GangTable, gangCols, gangRows),
+	experiment("e8", "E8: topology stress with the halo-exchange stencil", StencilTopology, StencilTable, stencilCols, stencilRows),
+	experiment("e9", "E9: machine-size scalability (16-64 nodes)",
+		func(b core.Config, o ...engine.Options) ([]ScaleCell, error) {
+			return Scalability(DefaultScales, b, o...)
+		},
+		ScaleTable, scaleCols, scaleRows),
+	experiment("e10", "E10: binomial-tree broadcast ablation", BroadcastAblation, BroadcastTable, broadcastCols, broadcastRows),
+	experiment("e11", "E11: sort-algorithm ablation (selection vs merge)", SortAlgorithmAblation, SortAlgTable, sortAlgCols, sortAlgRows),
+	experiment("e12", "E12: butterfly all-reduce vs topology", CollectiveTopology, CollectiveTable, collectiveCols, collectiveRows),
+	experiment("e14", "E14: policy zoo vs the paper's disciplines", PolicyZoo, ZooTable, zooCols, zooRows),
+	experiment("e15", "E15: policy zoo under open-system load",
+		func(b core.Config, o ...engine.Options) ([]OpenCell, error) { return OpenSweep(b, nil, o...) },
+		OpenSweepTable, openCols, openRows),
 }
 
 // Catalog returns every named experiment in presentation order. The slice

@@ -41,7 +41,7 @@ func TestDriverDeterminismAcrossWorkers(t *testing.T) {
 			if err != nil {
 				return nil, "", err
 			}
-			return points, QuantumCSV(points), nil
+			return points, renderCSV(quantumCols, quantumRows(points)), nil
 		}},
 		{"faultstudy", func(opts engine.Options) (any, string, error) {
 			works := make([]sim.Time, 6)

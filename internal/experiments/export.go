@@ -14,8 +14,8 @@ type rowWriter interface {
 	row(cells ...any)
 }
 
-// renderRows materializes one experiment export: the same column list and
-// row feed through whichever writer the caller picked.
+// renderCSV and renderJSON materialize one experiment export: the same
+// column list and row feed through whichever writer the caller picked.
 func renderCSV(cols []string, feed func(rowWriter)) string {
 	w := newCSV(cols...)
 	feed(w)
@@ -31,21 +31,23 @@ func renderJSON(cols []string, feed func(rowWriter)) string {
 var figureCols = []string{"label", "partition", "topology", "static_avg_s", "static_best_s",
 	"static_worst_s", "ts_s", "ts_over_static", "ts_mem_blocked_s", "ts_overhead_frac"}
 
-func (f *Figure) rows(w rowWriter) {
-	for _, c := range f.Cells {
-		w.row(c.Label, c.PartitionSize, c.Topology,
-			secs(c.Static), secs(c.StaticBest), secs(c.StaticWorst),
-			secs(c.TS), fix4(c.Ratio()), secs(c.TSMemBlocked), fix4(c.TSOverheadFrac))
+func figureRows(f *Figure) func(rowWriter) {
+	return func(w rowWriter) {
+		for _, c := range f.Cells {
+			w.row(c.Label, c.PartitionSize, c.Topology,
+				secs(c.Static), secs(c.StaticBest), secs(c.StaticWorst),
+				secs(c.TS), fix4(c.Ratio()), secs(c.TSMemBlocked), fix4(c.TSOverheadFrac))
+		}
 	}
 }
 
 // CSV renders the figure as comma-separated values (one row per cell) for
 // plotting outside the harness.
-func (f *Figure) CSV() string { return renderCSV(figureCols, f.rows) }
+func (f *Figure) CSV() string { return renderCSV(figureCols, figureRows(f)) }
 
 // JSON renders the figure as an array of row objects — the encoding schedd
 // serves over HTTP.
-func (f *Figure) JSON() string { return renderJSON(figureCols, f.rows) }
+func (f *Figure) JSON() string { return renderJSON(figureCols, figureRows(f)) }
 
 var varianceCols = []string{"cv", "static_s", "ts_s"}
 
@@ -55,14 +57,6 @@ func varianceRows(points []VariancePoint) func(rowWriter) {
 			w.row(fix2(p.CV), secs(p.Static), secs(p.TS))
 		}
 	}
-}
-
-// VarianceCSV renders E1.
-func VarianceCSV(points []VariancePoint) string { return renderCSV(varianceCols, varianceRows(points)) }
-
-// VarianceJSON renders E1 as JSON rows.
-func VarianceJSON(points []VariancePoint) string {
-	return renderJSON(varianceCols, varianceRows(points))
 }
 
 var ablationCols = []string{"label", "saf_s", "wormhole_s", "saf_mem_blocked_s", "wh_mem_blocked_s"}
@@ -75,12 +69,6 @@ func ablationRows(cells []AblationCell) func(rowWriter) {
 	}
 }
 
-// AblationCSV renders E2.
-func AblationCSV(cells []AblationCell) string { return renderCSV(ablationCols, ablationRows(cells)) }
-
-// AblationJSON renders E2 as JSON rows.
-func AblationJSON(cells []AblationCell) string { return renderJSON(ablationCols, ablationRows(cells)) }
-
 var quantumCols = []string{"quantum_us", "ts_s", "overhead_frac"}
 
 func quantumRows(points []QuantumPoint) func(rowWriter) {
@@ -91,12 +79,6 @@ func quantumRows(points []QuantumPoint) func(rowWriter) {
 	}
 }
 
-// QuantumCSV renders E3.
-func QuantumCSV(points []QuantumPoint) string { return renderCSV(quantumCols, quantumRows(points)) }
-
-// QuantumJSON renders E3 as JSON rows.
-func QuantumJSON(points []QuantumPoint) string { return renderJSON(quantumCols, quantumRows(points)) }
-
 var rrCols = []string{"policy", "narrow_s", "wide_s"}
 
 func rrRows(r *RRComparisonResult) func(rowWriter) {
@@ -105,12 +87,6 @@ func rrRows(r *RRComparisonResult) func(rowWriter) {
 		w.row("rr-process", secs(r.RRProcSmall), secs(r.RRProcBig))
 	}
 }
-
-// RRCSV renders E4.
-func RRCSV(r *RRComparisonResult) string { return renderCSV(rrCols, rrRows(r)) }
-
-// RRJSON renders E4 as JSON rows.
-func RRJSON(r *RRComparisonResult) string { return renderJSON(rrCols, rrRows(r)) }
 
 var mplCols = []string{"mpl", "ts_s", "mem_blocked_s"}
 
@@ -122,12 +98,6 @@ func mplRows(points []MPLPoint) func(rowWriter) {
 	}
 }
 
-// MPLCSV renders E5.
-func MPLCSV(points []MPLPoint) string { return renderCSV(mplCols, mplRows(points)) }
-
-// MPLJSON renders E5 as JSON rows.
-func MPLJSON(points []MPLPoint) string { return renderJSON(mplCols, mplRows(points)) }
-
 var loadCols = []string{"rho", "static4_s", "hybrid4_s", "dynamic_s"}
 
 func loadRows(points []LoadPoint) func(rowWriter) {
@@ -137,12 +107,6 @@ func loadRows(points []LoadPoint) func(rowWriter) {
 		}
 	}
 }
-
-// LoadCSV renders E6.
-func LoadCSV(points []LoadPoint) string { return renderCSV(loadCols, loadRows(points)) }
-
-// LoadJSON renders E6 as JSON rows.
-func LoadJSON(points []LoadPoint) string { return renderJSON(loadCols, loadRows(points)) }
 
 var gangCols = []string{"app", "rrjob_s", "gang_s", "rrjob_overhead", "gang_overhead"}
 
@@ -154,12 +118,6 @@ func gangRows(cells []GangCell) func(rowWriter) {
 	}
 }
 
-// GangCSV renders E7.
-func GangCSV(cells []GangCell) string { return renderCSV(gangCols, gangRows(cells)) }
-
-// GangJSON renders E7 as JSON rows.
-func GangJSON(cells []GangCell) string { return renderJSON(gangCols, gangRows(cells)) }
-
 var stencilCols = []string{"label", "static_s", "ts_s", "ts_avg_msg_latency_us"}
 
 func stencilRows(cells []StencilCell) func(rowWriter) {
@@ -169,12 +127,6 @@ func stencilRows(cells []StencilCell) func(rowWriter) {
 		}
 	}
 }
-
-// StencilCSV renders E8.
-func StencilCSV(cells []StencilCell) string { return renderCSV(stencilCols, stencilRows(cells)) }
-
-// StencilJSON renders E8 as JSON rows.
-func StencilJSON(cells []StencilCell) string { return renderJSON(stencilCols, stencilRows(cells)) }
 
 var scaleCols = []string{"nodes", "static_s", "ts_s", "ts_mem_blocked_s", "ts_overhead_frac"}
 
@@ -186,12 +138,6 @@ func scaleRows(cells []ScaleCell) func(rowWriter) {
 	}
 }
 
-// ScaleCSV renders E9.
-func ScaleCSV(cells []ScaleCell) string { return renderCSV(scaleCols, scaleRows(cells)) }
-
-// ScaleJSON renders E9 as JSON rows.
-func ScaleJSON(cells []ScaleCell) string { return renderJSON(scaleCols, scaleRows(cells)) }
-
 var broadcastCols = []string{"config", "sequential_s", "tree_s"}
 
 func broadcastRows(cells []BroadcastCell) func(rowWriter) {
@@ -200,16 +146,6 @@ func broadcastRows(cells []BroadcastCell) func(rowWriter) {
 			w.row(c.Label, secs(c.Seq), secs(c.Tree))
 		}
 	}
-}
-
-// BroadcastCSV renders E10.
-func BroadcastCSV(cells []BroadcastCell) string {
-	return renderCSV(broadcastCols, broadcastRows(cells))
-}
-
-// BroadcastJSON renders E10 as JSON rows.
-func BroadcastJSON(cells []BroadcastCell) string {
-	return renderJSON(broadcastCols, broadcastRows(cells))
 }
 
 var sortAlgCols = []string{"algorithm", "partition", "fixed_s", "adaptive_s"}
@@ -222,12 +158,6 @@ func sortAlgRows(cells []SortAlgCell) func(rowWriter) {
 	}
 }
 
-// SortAlgCSV renders E11.
-func SortAlgCSV(cells []SortAlgCell) string { return renderCSV(sortAlgCols, sortAlgRows(cells)) }
-
-// SortAlgJSON renders E11 as JSON rows.
-func SortAlgJSON(cells []SortAlgCell) string { return renderJSON(sortAlgCols, sortAlgRows(cells)) }
-
 var collectiveCols = []string{"label", "single_s", "ts_s", "avg_hops"}
 
 func collectiveRows(cells []CollectiveCell) func(rowWriter) {
@@ -236,16 +166,6 @@ func collectiveRows(cells []CollectiveCell) func(rowWriter) {
 			w.row(c.Label, secs(c.Single), secs(c.TS), fix2(c.AvgHops))
 		}
 	}
-}
-
-// CollectiveCSV renders E12.
-func CollectiveCSV(cells []CollectiveCell) string {
-	return renderCSV(collectiveCols, collectiveRows(cells))
-}
-
-// CollectiveJSON renders E12 as JSON rows.
-func CollectiveJSON(cells []CollectiveCell) string {
-	return renderJSON(collectiveCols, collectiveRows(cells))
 }
 
 var faultCols = []string{"topology", "partition", "policy", "rate_per_node_s", "mtbf_us",

@@ -38,42 +38,42 @@ func TestScalarCSVs(t *testing.T) {
 		wantRow    string
 	}{
 		"variance": {
-			got:        VarianceCSV([]VariancePoint{{CV: 0.5, Static: sim.Second, TS: 2 * sim.Second}}),
+			got:        renderCSV(varianceCols, varianceRows([]VariancePoint{{CV: 0.5, Static: sim.Second, TS: 2 * sim.Second}})),
 			wantHeader: "cv,static_s,ts_s",
 			wantRow:    "0.50,1.000000,2.000000",
 		},
 		"ablation": {
-			got:        AblationCSV([]AblationCell{{Label: "16L", SAF: sim.Second, WH: sim.Second / 2, SAFBlock: sim.Second * 3}}),
+			got:        renderCSV(ablationCols, ablationRows([]AblationCell{{Label: "16L", SAF: sim.Second, WH: sim.Second / 2, SAFBlock: sim.Second * 3}})),
 			wantHeader: "label,saf_s,wormhole_s",
 			wantRow:    "16L,1.000000,0.500000,3.000000,0.000000",
 		},
 		"quantum": {
-			got:        QuantumCSV([]QuantumPoint{{Q: 2000, TS: sim.Second, OverheadFrac: 0.1}}),
+			got:        renderCSV(quantumCols, quantumRows([]QuantumPoint{{Q: 2000, TS: sim.Second, OverheadFrac: 0.1}})),
 			wantHeader: "quantum_us,ts_s,overhead_frac",
 			wantRow:    "2000,1.000000,0.1000",
 		},
 		"rr": {
-			got:        RRCSV(&RRComparisonResult{RRJobSmall: sim.Second, RRJobBig: sim.Second, RRProcSmall: 2 * sim.Second, RRProcBig: sim.Second / 2}),
+			got:        renderCSV(rrCols, rrRows(&RRComparisonResult{RRJobSmall: sim.Second, RRJobBig: sim.Second, RRProcSmall: 2 * sim.Second, RRProcBig: sim.Second / 2})),
 			wantHeader: "policy,narrow_s,wide_s",
 			wantRow:    "rr-job,1.000000,1.000000",
 		},
 		"mpl": {
-			got:        MPLCSV([]MPLPoint{{MaxResident: 2, Mean: sim.Second, MemBlocked: 0}}),
+			got:        renderCSV(mplCols, mplRows([]MPLPoint{{MaxResident: 2, Mean: sim.Second, MemBlocked: 0}})),
 			wantHeader: "mpl,ts_s,mem_blocked_s",
 			wantRow:    "2,1.000000,0.000000",
 		},
 		"load": {
-			got:        LoadCSV([]LoadPoint{{Rho: 0.5, Static4: sim.Second, Hybrid4: sim.Second, Dynamic: sim.Second}}),
+			got:        renderCSV(loadCols, loadRows([]LoadPoint{{Rho: 0.5, Static4: sim.Second, Hybrid4: sim.Second, Dynamic: sim.Second}})),
 			wantHeader: "rho,static4_s,hybrid4_s,dynamic_s",
 			wantRow:    "0.50,1.000000,1.000000,1.000000",
 		},
 		"gang": {
-			got:        GangCSV([]GangCell{{App: "stencil", RRJob: 2 * sim.Second, Gang: sim.Second, RRJobOvh: 0.5, GangOverhead: 0.25}}),
+			got:        renderCSV(gangCols, gangRows([]GangCell{{App: "stencil", RRJob: 2 * sim.Second, Gang: sim.Second, RRJobOvh: 0.5, GangOverhead: 0.25}})),
 			wantHeader: "app,rrjob_s,gang_s",
 			wantRow:    "stencil,2.000000,1.000000,0.5000,0.2500",
 		},
 		"stencil": {
-			got:        StencilCSV([]StencilCell{{Label: "8L", Static: sim.Second, TS: 3 * sim.Second, TSAvgLat: 1500}}),
+			got:        renderCSV(stencilCols, stencilRows([]StencilCell{{Label: "8L", Static: sim.Second, TS: 3 * sim.Second, TSAvgLat: 1500}})),
 			wantHeader: "label,static_s,ts_s",
 			wantRow:    "8L,1.000000,3.000000,1500",
 		},

@@ -75,35 +75,38 @@ func TestSummaryJSONGolden(t *testing.T) {
 // parseable JSON whose objects carry exactly the CSV header's columns, and
 // empty inputs render an empty array.
 func TestJSONExportersAreValidJSONWithCSVColumns(t *testing.T) {
-	cases := map[string]struct{ jsonDoc, csvDoc string }{
-		"figure": {(&Figure{Cells: []Cell{{Label: "1"}}}).JSON(), (&Figure{Cells: []Cell{{Label: "1"}}}).CSV()},
-		"variance": {VarianceJSON([]VariancePoint{{CV: 0.5, Static: sim.Second, TS: 2 * sim.Second}}),
-			VarianceCSV([]VariancePoint{{CV: 0.5}})},
-		"ablation": {AblationJSON([]AblationCell{{Label: "16L"}}), AblationCSV([]AblationCell{{Label: "16L"}})},
-		"quantum":  {QuantumJSON([]QuantumPoint{{Q: 2000}}), QuantumCSV([]QuantumPoint{{Q: 2000}})},
-		"rr":       {RRJSON(&RRComparisonResult{}), RRCSV(&RRComparisonResult{})},
-		"mpl":      {MPLJSON([]MPLPoint{{MaxResident: 2}}), MPLCSV([]MPLPoint{{MaxResident: 2}})},
-		"load":     {LoadJSON([]LoadPoint{{Rho: 0.5}}), LoadCSV([]LoadPoint{{Rho: 0.5}})},
-		"gang":     {GangJSON([]GangCell{{App: "stencil"}}), GangCSV([]GangCell{{App: "stencil"}})},
-		"stencil":  {StencilJSON([]StencilCell{{Label: "8L"}}), StencilCSV([]StencilCell{{Label: "8L"}})},
-		"scale":    {ScaleJSON([]ScaleCell{{Machine: 16}}), ScaleCSV([]ScaleCell{{Machine: 16}})},
-		"broadcast": {BroadcastJSON([]BroadcastCell{{Label: "16M"}}),
-			BroadcastCSV([]BroadcastCell{{Label: "16M"}})},
-		"sortalg": {SortAlgJSON([]SortAlgCell{{Algorithm: "merge"}}), SortAlgCSV([]SortAlgCell{{Algorithm: "merge"}})},
-		"collective": {CollectiveJSON([]CollectiveCell{{Label: "16M"}}),
-			CollectiveCSV([]CollectiveCell{{Label: "16M"}})},
+	cases := map[string]struct {
+		cols []string
+		rows func(rowWriter)
+	}{
+		"figure":     {figureCols, figureRows(&Figure{Cells: []Cell{{Label: "1"}}})},
+		"variance":   {varianceCols, varianceRows([]VariancePoint{{CV: 0.5, Static: sim.Second, TS: 2 * sim.Second}})},
+		"ablation":   {ablationCols, ablationRows([]AblationCell{{Label: "16L"}})},
+		"quantum":    {quantumCols, quantumRows([]QuantumPoint{{Q: 2000}})},
+		"rr":         {rrCols, rrRows(&RRComparisonResult{})},
+		"mpl":        {mplCols, mplRows([]MPLPoint{{MaxResident: 2}})},
+		"load":       {loadCols, loadRows([]LoadPoint{{Rho: 0.5}})},
+		"gang":       {gangCols, gangRows([]GangCell{{App: "stencil"}})},
+		"stencil":    {stencilCols, stencilRows([]StencilCell{{Label: "8L"}})},
+		"scale":      {scaleCols, scaleRows([]ScaleCell{{Machine: 16}})},
+		"broadcast":  {broadcastCols, broadcastRows([]BroadcastCell{{Label: "16M"}})},
+		"sortalg":    {sortAlgCols, sortAlgRows([]SortAlgCell{{Algorithm: "merge"}})},
+		"collective": {collectiveCols, collectiveRows([]CollectiveCell{{Label: "16M"}})},
+		"zoo":        {zooCols, zooRows([]ZooCell{{Label: "equi"}})},
+		"open":       {openCols, openRows([]OpenCell{{Label: "static", Load: 0.5}})},
 	}
 	for name, c := range cases {
+		jsonDoc, csvDoc := renderJSON(c.cols, c.rows), renderCSV(c.cols, c.rows)
 		var rows []map[string]any
-		if err := json.Unmarshal([]byte(c.jsonDoc), &rows); err != nil {
-			t.Errorf("%s: invalid JSON: %v\n%s", name, err, c.jsonDoc)
+		if err := json.Unmarshal([]byte(jsonDoc), &rows); err != nil {
+			t.Errorf("%s: invalid JSON: %v\n%s", name, err, jsonDoc)
 			continue
 		}
 		if len(rows) == 0 {
 			t.Errorf("%s: no rows", name)
 			continue
 		}
-		header := strings.Split(strings.SplitN(strings.TrimSpace(c.csvDoc), "\n", 2)[0], ",")
+		header := strings.Split(strings.SplitN(strings.TrimSpace(csvDoc), "\n", 2)[0], ",")
 		if len(rows[0]) != len(header) {
 			t.Errorf("%s: JSON row has %d fields, CSV header has %d", name, len(rows[0]), len(header))
 		}
@@ -117,7 +120,7 @@ func TestJSONExportersAreValidJSONWithCSVColumns(t *testing.T) {
 
 // TestJSONEmptyInput: zero rows render a bare empty array, still valid.
 func TestJSONEmptyInput(t *testing.T) {
-	got := VarianceJSON(nil)
+	got := renderJSON(varianceCols, varianceRows(nil))
 	if got != "[]\n" {
 		t.Errorf("empty export = %q, want %q", got, "[]\n")
 	}

@@ -156,9 +156,3 @@ func openRows(cells []OpenCell) func(rowWriter) {
 		}
 	}
 }
-
-// OpenSweepCSV renders E15.
-func OpenSweepCSV(cells []OpenCell) string { return renderCSV(openCols, openRows(cells)) }
-
-// OpenSweepJSON renders E15 as JSON rows.
-func OpenSweepJSON(cells []OpenCell) string { return renderJSON(openCols, openRows(cells)) }

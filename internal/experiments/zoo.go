@@ -108,9 +108,3 @@ func zooRows(cells []ZooCell) func(rowWriter) {
 		}
 	}
 }
-
-// ZooCSV renders E14.
-func ZooCSV(cells []ZooCell) string { return renderCSV(zooCols, zooRows(cells)) }
-
-// ZooJSON renders E14 as JSON rows.
-func ZooJSON(cells []ZooCell) string { return renderJSON(zooCols, zooRows(cells)) }

@@ -2,10 +2,7 @@ package integration
 
 import (
 	"os"
-	"runtime"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/arrival"
 	"repro/internal/core"
@@ -43,35 +40,6 @@ func openGateConfig(jobs int64) core.Config {
 	}
 }
 
-// peakHeapDuring runs f while sampling the live heap, returning the peak
-// observed live-set size in bytes. Each sample forces a GC so HeapAlloc
-// measures retained memory, not collection cadence.
-func peakHeapDuring(f func()) uint64 {
-	var peak atomic.Uint64
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		var ms runtime.MemStats
-		for {
-			runtime.GC()
-			runtime.ReadMemStats(&ms)
-			if ms.HeapAlloc > peak.Load() {
-				peak.Store(ms.HeapAlloc)
-			}
-			select {
-			case <-stop:
-				return
-			case <-time.After(100 * time.Millisecond):
-			}
-		}
-	}()
-	f()
-	close(stop)
-	<-done
-	return peak.Load()
-}
-
 func TestOpenGateFlatMemory(t *testing.T) {
 	if os.Getenv("OPEN_GATE") == "" {
 		t.Skip("set OPEN_GATE=1 to run the 1M-job flat-memory gate")
@@ -79,7 +47,7 @@ func TestOpenGateFlatMemory(t *testing.T) {
 	run := func(jobs int64) (peak uint64, mean sim.Time) {
 		var res *metrics.Result
 		var err error
-		peak = peakHeapDuring(func() {
+		peak = metrics.PeakLiveHeap(func() {
 			res, err = core.Run(openGateConfig(jobs))
 		})
 		if err != nil {

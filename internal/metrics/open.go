@@ -30,7 +30,7 @@ type OpenSummary struct {
 	// the run grows).
 	Queue []QueueWindow
 	// Digest is the full response-time digest, for callers that merge runs
-	// (stats.ReplicateDigest) or read other quantiles.
+	// (E15 merges its seeds) or read other quantiles.
 	Digest *stream.Digest
 }
 

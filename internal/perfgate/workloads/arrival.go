@@ -1,8 +1,6 @@
 package workloads
 
 import (
-	"runtime"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/arrival"
@@ -71,7 +69,7 @@ func OpenPeakRSS(b B) {
 		var res *metrics.Result
 		var err error
 		start := time.Now()
-		p := peakHeapDuring(func() {
+		p := metrics.PeakLiveHeap(func() {
 			res, err = core.Run(cfg)
 		})
 		elapsed += time.Since(start)
@@ -89,35 +87,4 @@ func OpenPeakRSS(b B) {
 	if s := elapsed.Seconds(); s > 0 {
 		b.ReportMetric(float64(jobs)*float64(b.N())/s, "jobs_per_sec")
 	}
-}
-
-// peakHeapDuring runs f while sampling the live heap, returning the peak
-// observed live-set size in bytes. Each sample forces a GC so HeapAlloc
-// measures retained memory, not collection cadence. (The open-gate
-// integration test keeps its own copy: tests cannot import non-test
-// helpers from here without dragging serve into the integration package.)
-func peakHeapDuring(f func()) uint64 {
-	var peak atomic.Uint64
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		var ms runtime.MemStats
-		for {
-			runtime.GC()
-			runtime.ReadMemStats(&ms)
-			if ms.HeapAlloc > peak.Load() {
-				peak.Store(ms.HeapAlloc)
-			}
-			select {
-			case <-stop:
-				return
-			case <-time.After(100 * time.Millisecond):
-			}
-		}
-	}()
-	f()
-	close(stop)
-	<-done
-	return peak.Load()
 }

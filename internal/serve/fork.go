@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -104,13 +103,6 @@ func parseForkRequest(r io.Reader) (*ForkRequest, error) {
 		return nil, fmt.Errorf("fork request without a snapshot")
 	}
 	return &req, nil
-}
-
-// ParseForkRequestBytes parses a fork request body from bytes. Exported so
-// the cluster coordinator's proxy can compute routing keys with exactly
-// the validation the worker will apply.
-func ParseForkRequestBytes(b []byte) (*ForkRequest, error) {
-	return parseForkRequest(bytes.NewReader(b))
 }
 
 // EncodeForkRequest renders a fork request body deterministically

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 
@@ -122,5 +124,32 @@ func TestOpenSpecRoundTrip(t *testing.T) {
 	cfg.Arrival = arrival.Spec{Kind: arrival.Trace, TracePath: "x.jsonl"}
 	if _, err := SpecFromConfig(cfg); err == nil {
 		t.Error("trace config should not be wire-representable")
+	}
+}
+
+// TestScheddErrorBodyJSON: WriteError renders a printable message exactly
+// as the former %q formatting did, omits an empty field, and keeps a
+// message with a control byte or a cut rune valid JSON.
+func TestScheddErrorBodyJSON(t *testing.T) {
+	for _, msg := range []string{"POST only", `unknown experiment "e99"`, `a\b <c> & d`, "naïve ρ=0.5"} {
+		rr := httptest.NewRecorder()
+		WriteError(rr, http.StatusBadRequest, msg, "")
+		if want := fmt.Sprintf("{\"error\":%q}\n", msg); rr.Body.String() != want {
+			t.Errorf("body %q, want %q", rr.Body, want)
+		}
+	}
+	rr := httptest.NewRecorder()
+	WriteError(rr, http.StatusBadRequest, "load out of range", "arrival.load")
+	if want := `{"error":"load out of range","field":"arrival.load"}` + "\n"; rr.Body.String() != want {
+		t.Errorf("field body %q, want %q", rr.Body, want)
+	}
+	rr = httptest.NewRecorder()
+	WriteError(rr, http.StatusBadGateway, "bell \a and cut \xc3", "")
+	var eb struct{ Error string }
+	if err := json.Unmarshal(rr.Body.Bytes(), &eb); err != nil {
+		t.Fatalf("body is not JSON: %v\n%q", err, rr.Body)
+	}
+	if rr.Header().Get("Content-Type") != "application/json" || rr.Code != http.StatusBadGateway {
+		t.Errorf("status %d, content type %q", rr.Code, rr.Header().Get("Content-Type"))
 	}
 }

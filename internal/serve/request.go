@@ -223,15 +223,10 @@ func (s ConfigSpec) ToConfig() (core.Config, error) {
 			return cfg, err
 		}
 	}
-	switch s.Order {
-	case "", "submission":
-		cfg.Order = core.Submission
-	case "smallest-first", "sf":
-		cfg.Order = core.SmallestFirst
-	case "largest-first", "lf":
-		cfg.Order = core.LargestFirst
-	default:
-		return cfg, fmt.Errorf("unknown order %q", s.Order)
+	if s.Order != "" {
+		if cfg.Order, err = core.ParseOrder(s.Order); err != nil {
+			return cfg, err
+		}
 	}
 	if s.Arrival != nil {
 		kind, err := arrival.ParseKind(s.Arrival.Process)

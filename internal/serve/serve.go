@@ -285,11 +285,20 @@ func (s *Server) SetDraining(v bool) {
 	s.adm.setDraining(v)
 }
 
-// httpError is the uniform JSON error body.
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
+// WriteError writes the uniform JSON error body of schedd and the
+// coordinator: {"error":msg}, plus "field" naming the config field at fault
+// when field is non-empty. encoding/json escapes whatever a message
+// carries — a relayed worker body cut mid-rune, a control byte — so the
+// body is always valid JSON; a printable message renders as %q would.
+func WriteError(w http.ResponseWriter, status int, msg, field string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	fmt.Fprintf(w, "{\"error\":%q}\n", fmt.Sprintf(format, args...))
+	enc := json.NewEncoder(w)
+	enc.SetEscapeHTML(false)
+	enc.Encode(struct {
+		Error string `json:"error"`
+		Field string `json:"field,omitempty"`
+	}{msg, field})
 }
 
 // checkPost guards the two simulation endpoints: POST only, and a draining
@@ -298,12 +307,12 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 func (s *Server) checkPost(w http.ResponseWriter, r *http.Request) bool {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
+		WriteError(w, http.StatusMethodNotAllowed, "POST only", "")
 		return false
 	}
 	if s.draining.Load() {
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, "draining")
+		WriteError(w, http.StatusServiceUnavailable, "draining", "")
 		return false
 	}
 	return true
@@ -318,13 +327,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	req, err := parseRunRequest(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
 		s.metrics.badRequests.Add(1)
-		httpError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, err.Error(), "")
 		return
 	}
 	cfg, entry, format, key, err := req.Resolve()
 	if err != nil {
 		s.metrics.badRequests.Add(1)
-		httpError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, err.Error(), "")
 		return
 	}
 	exp := ""
@@ -351,19 +360,19 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 	req, err := parsePointRequest(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
 		s.metrics.badRequests.Add(1)
-		httpError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, err.Error(), "")
 		return
 	}
 	cfg, err := req.Config.ToConfig()
 	if err != nil {
 		s.metrics.badRequests.Add(1)
-		httpError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, err.Error(), "")
 		return
 	}
 	cfgHash, err := cfg.Hash()
 	if err != nil {
 		s.metrics.badRequests.Add(1)
-		httpError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, err.Error(), "")
 		return
 	}
 	s.serveKeyed(w, r, keyedRequest{
@@ -396,31 +405,31 @@ func (s *Server) handleFork(w http.ResponseWriter, r *http.Request) {
 	req, err := parseForkRequest(http.MaxBytesReader(w, r.Body, 8<<20))
 	if err != nil {
 		s.metrics.badRequests.Add(1)
-		httpError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, err.Error(), "")
 		return
 	}
 	cfg, err := req.Config.ToConfig()
 	if err != nil {
 		s.metrics.badRequests.Add(1)
-		httpError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, err.Error(), "")
 		return
 	}
 	cfgHash, err := cfg.Hash()
 	if err != nil {
 		s.metrics.badRequests.Add(1)
-		httpError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, err.Error(), "")
 		return
 	}
 	snap, err := core.DecodeSnapshot(req.Snapshot)
 	if err != nil {
 		s.metrics.badRequests.Add(1)
-		httpError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, err.Error(), "")
 		return
 	}
 	div, err := req.Divergence.ToDivergence()
 	if err != nil {
 		s.metrics.badRequests.Add(1)
-		httpError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, err.Error(), "")
 		return
 	}
 	s.serveKeyed(w, r, keyedRequest{
@@ -528,20 +537,20 @@ func (s *Server) admissionFailure(w http.ResponseWriter, err error) int {
 		// not a hardcoded constant. The cluster coordinator reads it to
 		// pace its backoff before rehashing the point elsewhere.
 		w.Header().Set("Retry-After", strconv.Itoa(s.adm.retryAfterSeconds()))
-		httpError(w, http.StatusTooManyRequests, "admission queue full, retry later")
+		WriteError(w, http.StatusTooManyRequests, "admission queue full, retry later", "")
 		return http.StatusTooManyRequests
 	case errors.Is(err, errDraining):
 		s.metrics.shedOnDrain.Add(1)
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, "draining, queued request shed")
+		WriteError(w, http.StatusServiceUnavailable, "draining, queued request shed", "")
 		return http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded):
 		s.metrics.cancelled.Add(1)
-		httpError(w, http.StatusGatewayTimeout, "deadline expired while queued")
+		WriteError(w, http.StatusGatewayTimeout, "deadline expired while queued", "")
 		return http.StatusGatewayTimeout
 	default: // client went away while queued
 		s.metrics.cancelled.Add(1)
-		httpError(w, statusClientClosedRequest, "client closed request")
+		WriteError(w, statusClientClosedRequest, "client closed request", "")
 		return statusClientClosedRequest
 	}
 }
@@ -555,21 +564,19 @@ func (s *Server) executeFailure(w http.ResponseWriter, ctx context.Context, err 
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		s.metrics.cancelled.Add(1)
-		httpError(w, http.StatusGatewayTimeout, "deadline expired mid-run")
+		WriteError(w, http.StatusGatewayTimeout, "deadline expired mid-run", "")
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
 		s.metrics.cancelled.Add(1)
-		httpError(w, statusClientClosedRequest, "client closed request")
+		WriteError(w, statusClientClosedRequest, "client closed request", "")
 		return statusClientClosedRequest
 	case errors.As(err, &ce):
 		s.metrics.badRequests.Add(1)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusBadRequest)
-		fmt.Fprintf(w, "{\"error\":%q,\"field\":%q}\n", ce.Error(), ce.Field)
+		WriteError(w, http.StatusBadRequest, ce.Error(), ce.Field)
 		return http.StatusBadRequest
 	default:
 		s.metrics.failed.Add(1)
-		httpError(w, http.StatusInternalServerError, "simulation failed: %v", err)
+		WriteError(w, http.StatusInternalServerError, fmt.Sprintf("simulation failed: %v", err), "")
 		return http.StatusInternalServerError
 	}
 }
@@ -624,7 +631,7 @@ func (s *Server) writeResult(w http.ResponseWriter, key, cache, contentType stri
 func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
-		httpError(w, http.StatusMethodNotAllowed, "GET only")
+		WriteError(w, http.StatusMethodNotAllowed, "GET only", "")
 		return
 	}
 	type item struct {
@@ -647,7 +654,7 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handlePolicies(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
-		httpError(w, http.StatusMethodNotAllowed, "GET only")
+		WriteError(w, http.StatusMethodNotAllowed, "GET only", "")
 		return
 	}
 	type catalog struct {

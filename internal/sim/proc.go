@@ -143,9 +143,6 @@ func (p *Proc) Abort() {
 	}
 }
 
-// Aborting reports whether an abort has been requested for the process.
-func (p *Proc) Aborting() bool { return p.aborted }
-
 // Wake makes a parked process runnable again. The process resumes via a
 // kernel event at the current simulated time (after already-queued events).
 // If the process is not parked, the wake is remembered as a permit so the

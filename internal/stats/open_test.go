@@ -44,12 +44,10 @@ func TestOpenGateSketchAccuracy(t *testing.T) {
 	}
 }
 
-// TestReplicateMemoryBound is the satellite regression for the old
-// Replicate implementation, which kept every replication's result slice
-// alive until a final merge. With streaming accumulators the retained heap
-// after a replication over many observations must not scale with the
-// observation count: 8 replications × 2M observations is 16M samples
-// (128MB as float64 slices) but must retain well under 16MB.
+// TestReplicateMemoryBound: a replicated study streams each replication
+// into its own Digest and merges them, so the retained heap must not scale
+// with the observation count: 8 replications × 2M observations is 16M
+// samples (128MB as float64 slices) but must retain well under 16MB.
 func TestReplicateMemoryBound(t *testing.T) {
 	measure := func() uint64 {
 		runtime.GC()
@@ -58,18 +56,22 @@ func TestReplicateMemoryBound(t *testing.T) {
 		return ms.HeapAlloc
 	}
 	before := measure()
-	d, err := ReplicateDigest(8, 0, func(seed int64, d *Digest) error {
+	reps := make([]*Digest, 8)
+	for seed := range reps {
+		reps[seed] = NewDigest(0)
 		state := uint64(seed)*2654435761 + 0x9E3779B97F4A7C15
 		for i := 0; i < 2000000; i++ {
 			state ^= state >> 12
 			state ^= state << 25
 			state ^= state >> 27
-			d.Add(1 + float64(state%1000000))
+			reps[seed].Add(1 + float64(state%1000000))
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	}
+	d := NewDigest(0)
+	for _, r := range reps {
+		if err := d.Merge(r); err != nil {
+			t.Fatal(err)
+		}
 	}
 	after := measure()
 	if d.N() != 16000000 {

@@ -76,34 +76,3 @@ func Replicate(n int, f func(seed int64) (float64, error), opts ...engine.Option
 	}
 	return acc.Summarize(), nil
 }
-
-// ReplicateDigest runs f for seeds 0..n-1, handing each replication a
-// fresh bounded-memory Digest (sketch accuracy alpha; 0 selects
-// DefaultSketchAlpha) to stream its observations into; the digests merge
-// in seed order after the pool drains. Unlike Replicate, one replication
-// may contribute millions of observations — memory stays at the digest
-// bound, not the observation count.
-func ReplicateDigest(n int, alpha float64, f func(seed int64, d *Digest) error, opts ...engine.Options) (*Digest, error) {
-	plan := engine.NewPlan[*Digest]("stats.ReplicateDigest")
-	for i := 0; i < n; i++ {
-		i := i
-		plan.Add(fmt.Sprintf("seed=%d", i), func() (*Digest, error) {
-			d := NewDigest(alpha)
-			if err := f(int64(i), d); err != nil {
-				return nil, fmt.Errorf("stats: replication %d: %w", i, err)
-			}
-			return d, nil
-		})
-	}
-	ds, err := engine.Execute(plan, opts...)
-	if err != nil {
-		return nil, err
-	}
-	out := NewDigest(alpha)
-	for _, d := range ds {
-		if err := out.Merge(d); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}

@@ -54,9 +54,6 @@ func NewQuantileSketch(alpha float64) *QuantileSketch {
 	}
 }
 
-// Alpha reports the sketch's relative accuracy guarantee.
-func (s *QuantileSketch) Alpha() float64 { return s.alpha }
-
 // N reports the number of observations.
 func (s *QuantileSketch) N() int64 { return s.n }
 

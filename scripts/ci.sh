@@ -1,6 +1,7 @@
 #!/bin/sh
-# CI pipeline: build, vet, gofmt, race-enabled tests, every Makefile gate,
-# benchmark smoke. Run locally with `make ci` or `./scripts/ci.sh`.
+# CI pipeline: build, vet, gofmt, race-enabled tests, the benchmark module's
+# vet and short tests, every Makefile gate, benchmark smoke. Run locally
+# with `make ci` or `./scripts/ci.sh`.
 #
 # The gates are defined once, in the Makefile, and each selects its tests
 # with a -run pattern; TestGateTestsExist (gates_test.go) fails when a
@@ -14,6 +15,12 @@ gofmt -l . | tee /tmp/gofmt.out
 test ! -s /tmp/gofmt.out
 
 go test -race ./...
+
+# benchmark/ is its own module, so the root ./... above skips it. Vet and
+# short-test it here, so removing a symbol it calls fails CI instead of the
+# next benchmark run. -short skips TestSmoke, which runs the host-sensitive
+# schedd-mixed workload.
+(cd benchmark && go vet ./... && go test -short ./...)
 
 # The named gates re-run their slices with -count=1, and turn on the
 # env-gated ones the plain run above skips: chaos-gate forks real schedd
