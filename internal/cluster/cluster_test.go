@@ -165,16 +165,17 @@ func TestClusterWorkerDeathMidSweep(t *testing.T) {
 	// Extend the grid until the flaky worker is home to at least three
 	// points, so its death (after serving two) is guaranteed to strand
 	// routed work. httptest ports vary per run; the precondition keeps the
-	// test deterministic anyway.
+	// test deterministic anyway. Homes are ranked by the key the
+	// coordinator routes on, ConfigPoint's Key.
 	cfgs := grid(t)
 	homedToFlaky := func() int {
 		n := 0
 		for _, cfg := range cfgs {
-			h, err := cfg.Hash()
+			pt, err := ConfigPoint(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rankWorkers(fleet, h)[0] == flaky.URL {
+			if rankWorkers(fleet, pt.Key)[0] == flaky.URL {
 				n++
 			}
 		}

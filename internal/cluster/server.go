@@ -201,7 +201,7 @@ func (s *Server) handleProxy(w http.ResponseWriter, r *http.Request) {
 	}
 	key, contentType, err := requestKey(r.URL.Path, body)
 	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, err.Error(), "")
+		serve.BadRequest(w, err)
 		return
 	}
 	resp, err := s.coord.Do(r.Context(), engine.RemotePoint{

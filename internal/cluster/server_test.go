@@ -95,6 +95,11 @@ func TestClusterServerLifecycle(t *testing.T) {
 	if resp, _ := post("/v1/point", `{"config":{"policy":"bogus"}}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed point: status %d, want 400", resp.StatusCode)
 	}
+	// A config-spec failure names its field, as schedd's own answer does.
+	if resp, body := post("/v1/point", `{"config":{"arrival":{"process":"bursty"}}}`); resp.StatusCode != http.StatusBadRequest ||
+		!bytes.Contains(body, []byte(`"field":"arrival.process"`)) {
+		t.Errorf("bad arrival process: status %d body %s, want 400 naming arrival.process", resp.StatusCode, body)
+	}
 
 	// Renewing an unknown lease is a 404 telling the worker to re-register.
 	if resp, _ := post("/v1/workers/renew", `{"addr":"http://ghost:1"}`); resp.StatusCode != http.StatusNotFound {

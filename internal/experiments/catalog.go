@@ -67,48 +67,29 @@ type CatalogEntry struct {
 	ID string
 	// Title is the one-line description shown by listings.
 	Title string
-	run   func(base core.Config, opts engine.Options) (report, error)
-}
-
-// Run executes the experiment from the given base config and renders it in
-// the requested format. Cancellation arrives via opts.Ctx.
-func (e CatalogEntry) Run(base core.Config, format Format, opts engine.Options) (string, error) {
-	r, err := e.run(base, opts)
-	if err != nil {
-		return "", err
-	}
-	return r.render(format), nil
-}
-
-// report is one experiment's result, ready to render: the human table, and
-// the columns and row feed its CSV and JSON documents share.
-type report struct {
-	table string
-	cols  []string
-	rows  func(rowWriter)
-}
-
-func (r report) render(format Format) string {
-	switch format {
-	case CSV:
-		return renderCSV(r.cols, r.rows)
-	case JSON:
-		return renderJSON(r.cols, r.rows)
-	default:
-		return r.table
-	}
+	// Run executes the experiment from the given base config and renders
+	// it in the requested format. Cancellation arrives via opts.Ctx.
+	Run func(base core.Config, format Format, opts engine.Options) (string, error)
 }
 
 // experiment builds one catalog entry: run computes the result from the
-// base config, and table, cols and rows turn it into its report.
+// base config; table renders it for people, and cols with rows feed its
+// CSV and JSON documents. Only the requested format is rendered.
 func experiment[T any](id, title string, run func(core.Config, ...engine.Options) (T, error),
 	table func(T) string, cols []string, rows func(T) func(rowWriter)) CatalogEntry {
-	return CatalogEntry{ID: id, Title: title, run: func(base core.Config, opts engine.Options) (report, error) {
+	return CatalogEntry{ID: id, Title: title, Run: func(base core.Config, format Format, opts engine.Options) (string, error) {
 		v, err := run(base, opts)
 		if err != nil {
-			return report{}, err
+			return "", err
 		}
-		return report{table(v), cols, rows(v)}, nil
+		switch format {
+		case CSV:
+			return renderCSV(cols, rows(v)), nil
+		case JSON:
+			return renderJSON(cols, rows(v)), nil
+		default:
+			return table(v), nil
+		}
 	}}
 }
 

@@ -45,10 +45,6 @@ func figureRows(f *Figure) func(rowWriter) {
 // plotting outside the harness.
 func (f *Figure) CSV() string { return renderCSV(figureCols, figureRows(f)) }
 
-// JSON renders the figure as an array of row objects — the encoding schedd
-// serves over HTTP.
-func (f *Figure) JSON() string { return renderJSON(figureCols, figureRows(f)) }
-
 var varianceCols = []string{"cv", "static_s", "ts_s"}
 
 func varianceRows(points []VariancePoint) func(rowWriter) {

@@ -33,8 +33,8 @@ func TestFigureJSONGolden(t *testing.T) {
   {"label":"8L","partition":8,"topology":"linear","static_avg_s":1.000000,"static_best_s":0.000000,"static_worst_s":0.000000,"ts_s":0.500000,"ts_over_static":0.5000,"ts_mem_blocked_s":0.000000,"ts_overhead_frac":0.0000}
 ]
 `
-	if got := fig.JSON(); got != want {
-		t.Errorf("Figure.JSON drifted:\n got: %q\nwant: %q", got, want)
+	if got := renderJSON(figureCols, figureRows(fig)); got != want {
+		t.Errorf("figure JSON drifted:\n got: %q\nwant: %q", got, want)
 	}
 }
 

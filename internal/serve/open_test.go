@@ -54,8 +54,8 @@ func TestScheddOpenPoint(t *testing.T) {
 
 // TestScheddConfigErrors400 is the field-addressed validation contract:
 // every config-spec failure — whether caught at parse time or inside
-// core.Run — answers 400 with a body naming the offending field, never a
-// 500.
+// core.Run, on /v1/point or /v1/run — answers 400 with a body naming the
+// offending field, never a 500.
 func TestScheddConfigErrors400(t *testing.T) {
 	s := testServer(t, Options{})
 	h := s.Handler()
@@ -70,24 +70,32 @@ func TestScheddConfigErrors400(t *testing.T) {
 		{"partition does not divide", `{"config":{"partition":3}}`, "partition"},
 		{"bad quantum", `{"config":{"quantum_us":-5}}`, "quantum_us"},
 	}
+	endpoints := []struct {
+		name string
+		post func(*testing.T, http.Handler, string) *httptest.ResponseRecorder
+	}{{"point", postPoint}, {"run", postRun}}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rr := postPoint(t, h, tc.body)
-			if rr.Code != http.StatusBadRequest {
-				t.Fatalf("status %d, body %s (want 400)", rr.Code, rr.Body)
-			}
-			var eb struct {
-				Error string `json:"error"`
-				Field string `json:"field"`
-			}
-			if err := json.Unmarshal(rr.Body.Bytes(), &eb); err != nil {
-				t.Fatalf("error body not JSON: %s", rr.Body)
-			}
-			if eb.Error == "" {
-				t.Errorf("empty error message: %s", rr.Body)
-			}
-			if eb.Field != "" && eb.Field != tc.field {
-				t.Errorf("field = %q, want %q (body %s)", eb.Field, tc.field, rr.Body)
+			for _, ep := range endpoints {
+				t.Run(ep.name, func(t *testing.T) {
+					rr := ep.post(t, h, tc.body)
+					if rr.Code != http.StatusBadRequest {
+						t.Fatalf("status %d, body %s (want 400)", rr.Code, rr.Body)
+					}
+					var eb struct {
+						Error string `json:"error"`
+						Field string `json:"field"`
+					}
+					if err := json.Unmarshal(rr.Body.Bytes(), &eb); err != nil {
+						t.Fatalf("error body not JSON: %s", rr.Body)
+					}
+					if eb.Error == "" {
+						t.Errorf("empty error message: %s", rr.Body)
+					}
+					if eb.Field != tc.field {
+						t.Errorf("field = %q, want %q (body %s)", eb.Field, tc.field, rr.Body)
+					}
+				})
 			}
 		})
 	}

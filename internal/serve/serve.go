@@ -301,6 +301,18 @@ func WriteError(w http.ResponseWriter, status int, msg, field string) {
 	}{msg, field})
 }
 
+// BadRequest answers 400 for a request the program refuses, naming the
+// config field at fault when err is a core.ConfigError — whether ToConfig
+// refused the spec at parse time or core.Run refused the config.
+func BadRequest(w http.ResponseWriter, err error) {
+	var ce *core.ConfigError
+	field := ""
+	if errors.As(err, &ce) {
+		field = ce.Field
+	}
+	WriteError(w, http.StatusBadRequest, err.Error(), field)
+}
+
 // checkPost guards the two simulation endpoints: POST only, and a draining
 // server sheds new arrivals immediately (in-flight requests on kept-alive
 // connections would otherwise sneak in behind the closed listener).
@@ -327,13 +339,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	req, err := parseRunRequest(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
 		s.metrics.badRequests.Add(1)
-		WriteError(w, http.StatusBadRequest, err.Error(), "")
+		BadRequest(w, err)
 		return
 	}
 	cfg, entry, format, key, err := req.Resolve()
 	if err != nil {
 		s.metrics.badRequests.Add(1)
-		WriteError(w, http.StatusBadRequest, err.Error(), "")
+		BadRequest(w, err)
 		return
 	}
 	exp := ""
@@ -360,19 +372,19 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 	req, err := parsePointRequest(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
 		s.metrics.badRequests.Add(1)
-		WriteError(w, http.StatusBadRequest, err.Error(), "")
+		BadRequest(w, err)
 		return
 	}
 	cfg, err := req.Config.ToConfig()
 	if err != nil {
 		s.metrics.badRequests.Add(1)
-		WriteError(w, http.StatusBadRequest, err.Error(), "")
+		BadRequest(w, err)
 		return
 	}
 	cfgHash, err := cfg.Hash()
 	if err != nil {
 		s.metrics.badRequests.Add(1)
-		WriteError(w, http.StatusBadRequest, err.Error(), "")
+		BadRequest(w, err)
 		return
 	}
 	s.serveKeyed(w, r, keyedRequest{
@@ -405,31 +417,31 @@ func (s *Server) handleFork(w http.ResponseWriter, r *http.Request) {
 	req, err := parseForkRequest(http.MaxBytesReader(w, r.Body, 8<<20))
 	if err != nil {
 		s.metrics.badRequests.Add(1)
-		WriteError(w, http.StatusBadRequest, err.Error(), "")
+		BadRequest(w, err)
 		return
 	}
 	cfg, err := req.Config.ToConfig()
 	if err != nil {
 		s.metrics.badRequests.Add(1)
-		WriteError(w, http.StatusBadRequest, err.Error(), "")
+		BadRequest(w, err)
 		return
 	}
 	cfgHash, err := cfg.Hash()
 	if err != nil {
 		s.metrics.badRequests.Add(1)
-		WriteError(w, http.StatusBadRequest, err.Error(), "")
+		BadRequest(w, err)
 		return
 	}
 	snap, err := core.DecodeSnapshot(req.Snapshot)
 	if err != nil {
 		s.metrics.badRequests.Add(1)
-		WriteError(w, http.StatusBadRequest, err.Error(), "")
+		BadRequest(w, err)
 		return
 	}
 	div, err := req.Divergence.ToDivergence()
 	if err != nil {
 		s.metrics.badRequests.Add(1)
-		WriteError(w, http.StatusBadRequest, err.Error(), "")
+		BadRequest(w, err)
 		return
 	}
 	s.serveKeyed(w, r, keyedRequest{
@@ -572,7 +584,7 @@ func (s *Server) executeFailure(w http.ResponseWriter, ctx context.Context, err 
 		return statusClientClosedRequest
 	case errors.As(err, &ce):
 		s.metrics.badRequests.Add(1)
-		WriteError(w, http.StatusBadRequest, ce.Error(), ce.Field)
+		BadRequest(w, ce)
 		return http.StatusBadRequest
 	default:
 		s.metrics.failed.Add(1)
